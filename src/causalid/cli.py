@@ -19,7 +19,8 @@ from pathlib import Path
 
 from .catalog import catalog as corpus_entries
 from .catalog import run_entry, unavailable
-from .dsep import connecting_path, d_separated, pattern
+from .dsep import (connecting_path, d_separated, observationally_equivalent,
+                   pattern)
 from .dsl import ParseError, parse_assignment, parse_graph, parse_model
 from .expr import (ExprError, evaluate, free_variables, parse, render,
                    base_name)
@@ -224,19 +225,17 @@ def cmd_eval(args) -> int:
 def cmd_equiv(args) -> int:
     g1 = parse_graph(_read(args.graph_a))
     g2 = parse_graph(_read(args.graph_b))
-    if set(g1.names) != set(g2.names):
-        raise _Failure(2, "graphs are over different variable sets")
-    sk1, sk2 = g1.skeleton(), g2.skeleton()
-    vs1, vs2 = g1.v_structures(), g2.v_structures()
-    equivalent = sk1 == sk2 and vs1 == vs2
+    equivalent = observationally_equivalent(g1, g2)
     detail = ""
     if not equivalent:
+        sk1, sk2 = g1.skeleton(), g2.skeleton()
         if sk1 != sk2:
             only = sorted(sk1 ^ sk2)
             where = args.graph_a if only[0] in sk1 else args.graph_b
             detail = f"skeleton edge {only[0][0]}-{only[0][1]} " \
                      f"only in {where}"
         else:
+            vs1, vs2 = g1.v_structures(), g2.v_structures()
             only = sorted(vs1 ^ vs2)
             where = args.graph_a if only[0] in vs1 else args.graph_b
             detail = f"v-structure ({','.join(only[0])}) only in {where}"

@@ -67,16 +67,20 @@ def _reach_states(g: CausalGraph, xs: frozenset[str], zs: frozenset[str]):
     anc_z = zs | g.ancestors(zs) if zs else frozenset()
     pred: dict[tuple[str, str], tuple[str, str] | None] = {}
     queue: deque[tuple[str, str]] = deque()
+    # the query is validated, so walk the adjacency tables directly in
+    # declaration order instead of re-checking every visited name
+    order = g._index.__getitem__
+    children, parents = g._children, g._parents
 
     def push(state, from_state):
         if state not in pred:
             pred[state] = from_state
             queue.append(state)
 
-    for x in sorted(xs, key=g.index):
-        for c in g.ordered(g.children(x)):
+    for x in sorted(xs, key=order):
+        for c in sorted(children[x], key=order):
             push((c, "in"), (x, "start"))
-        for p in g.ordered(g.parents(x)):
+        for p in sorted(parents[x], key=order):
             push((p, "out"), (x, "start"))
 
     while queue:
@@ -84,16 +88,16 @@ def _reach_states(g: CausalGraph, xs: frozenset[str], zs: frozenset[str]):
         yield (v, how), pred
         if how == "in":
             if v not in zs:
-                for c in g.ordered(g.children(v)):
+                for c in sorted(children[v], key=order):
                     push((c, "in"), (v, how))
             if v in anc_z:
-                for p in g.ordered(g.parents(v)):
+                for p in sorted(parents[v], key=order):
                     push((p, "out"), (v, how))
         else:
             if v not in zs:
-                for c in g.ordered(g.children(v)):
+                for c in sorted(children[v], key=order):
                     push((c, "in"), (v, how))
-                for p in g.ordered(g.parents(v)):
+                for p in sorted(parents[v], key=order):
                     push((p, "out"), (v, how))
 
 

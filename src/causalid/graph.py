@@ -6,7 +6,11 @@ confounders are ordinary latent nodes; a declared bidirected arc
 one graph type serves every criterion.
 
 Graphs are immutable after construction and all operations are pure, so
-values can be shared freely across threads.
+values can be shared freely across threads.  Each graph memoizes the cut
+graphs ``mutilate`` returns, keyed by the cut sets.  That stays safe to
+share: the memo only ever maps a key to equal immutable graphs, so a
+lost race between two threads costs one redundant build, never a wrong
+answer.
 """
 
 from __future__ import annotations
@@ -106,7 +110,9 @@ class CausalGraph:
             ch[t].add(h)
         self._parents = {n: frozenset(s) for n, s in pa.items()}
         self._children = {n: frozenset(s) for n, s in ch.items()}
-        self._topo = self._topological_names()
+        self._topo: tuple[str, ...] | None = self._topological_names()
+        self._cuts: dict[tuple[frozenset[str], frozenset[str]],
+                         CausalGraph] = {}
 
     @staticmethod
     def _fresh_confounder_name(a: str, b: str, taken: set[str]) -> str:
@@ -187,6 +193,8 @@ class CausalGraph:
         return tuple(order)
 
     def topological_order(self) -> tuple[Variable, ...]:
+        if self._topo is None:
+            self._topo = self._topological_names()
         return tuple(self.variables[self._index[n]] for n in self._topo)
 
     def skeleton(self) -> frozenset[tuple[str, str]]:
@@ -214,13 +222,47 @@ class CausalGraph:
         """Drop edges into ``cut_incoming`` nodes and out of ``cut_outgoing``.
 
         A node may appear in both sets.  The original graph is unchanged.
+        Each distinct cut is built once per graph and then returned from
+        the graph's memo.
         """
         ci = frozenset(cut_incoming)
         co = frozenset(cut_outgoing)
         for n in ci | co:
             self.index(n)
-        kept = [(t, h) for t, h in self.edges if h not in ci and t not in co]
-        return CausalGraph(self.variables, kept)
+        key = (ci, co)
+        cut = self._cuts.get(key)
+        if cut is None:
+            cut = self._cuts[key] = self._cut(ci, co)
+        return cut
+
+    def _cut(self, ci: frozenset[str], co: frozenset[str]) -> CausalGraph:
+        """Build the cut graph without revalidating: a subgraph of a
+        valid DAG over the same variables is itself a valid DAG.  Node
+        tables are shared, edges keep their order, and only the
+        adjacency entries the cut touches are replaced."""
+        kept, dropped_pa, dropped_ch = [], {}, {}
+        for t, h in self.edges:
+            if h in ci or t in co:
+                dropped_pa.setdefault(h, set()).add(t)
+                dropped_ch.setdefault(t, set()).add(h)
+            else:
+                kept.append((t, h))
+        g = object.__new__(CausalGraph)
+        g.variables = self.variables
+        g.names = self.names
+        g._index = self._index
+        g.latent_names = self.latent_names
+        g.observed_names = self.observed_names
+        g.edges = tuple(kept)
+        g._parents = dict(self._parents)
+        for h, ts in dropped_pa.items():
+            g._parents[h] = g._parents[h] - ts
+        g._children = dict(self._children)
+        for t, hs in dropped_ch.items():
+            g._children[t] = g._children[t] - hs
+        g._topo = None  # computed on first use; cutting leaves it acyclic
+        g._cuts = {}
+        return g
 
     def with_edge(self, tail: str, head: str) -> CausalGraph:
         self.index(tail)

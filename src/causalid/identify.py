@@ -97,8 +97,6 @@ def backdoor_admissible(g: CausalGraph, X, Y, Z) -> bool:
         raise GraphError("adjustment set overlaps treatment or outcome")
     if zs & g.descendants(xs):
         return False
-    if not zs:
-        return d_separated(g.mutilate(cut_outgoing=xs), xs, ys, ())
     return d_separated(g.mutilate(cut_outgoing=xs), xs, ys, zs)
 
 

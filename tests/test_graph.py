@@ -207,3 +207,121 @@ def test_mutilated_skeleton_shrinks(seed):
     cut_out = {n for n in g.names if rng.random() < 0.3}
     h = g.mutilate(cut_in, cut_out)
     assert h.skeleton() <= g.skeleton()
+
+
+# -- memoized surgery --------------------------------------------------------
+
+@st.composite
+def dags(draw):
+    """A random DAG with latents; declaration order, topological order
+    and edge order are drawn independently."""
+    n = draw(st.integers(1, 7))
+    names = draw(st.permutations([f"V{i}" for i in range(n)]))
+    order = draw(st.permutations(names))
+    edges = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)
+             if draw(st.booleans())]
+    latent = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return CausalGraph(list(zip(names, latent)), draw(st.permutations(edges)))
+
+
+def cut_sets(g):
+    return st.sets(st.sampled_from(g.names))
+
+
+def _kept(g, cut_in, cut_out):
+    return [(t, h) for t, h in g.edges if h not in cut_in and t not in cut_out]
+
+
+def _assert_same_graph(h, ref):
+    assert h == ref and hash(h) == hash(ref)
+    assert h.edges == ref.edges
+    assert repr(h) == repr(ref)
+    assert h.topological_order() == ref.topological_order()
+    assert h.latent_names == ref.latent_names
+    assert h.observed_names == ref.observed_names
+    for n in ref.names:
+        assert h.parents(n) == ref.parents(n)
+        assert h.children(n) == ref.children(n)
+        assert h.ancestors({n}) == ref.ancestors({n})
+        assert h.descendants({n}) == ref.descendants({n})
+
+
+@given(st.data())
+def test_cut_graph_equals_full_construction(data):
+    g = data.draw(dags())
+    cut_in, cut_out = data.draw(cut_sets(g)), data.draw(cut_sets(g))
+    edges = g.edges
+    h = g.mutilate(cut_in, cut_out)
+    _assert_same_graph(h, CausalGraph(g.variables, _kept(g, cut_in, cut_out)))
+    assert g.edges == edges  # the original is untouched
+
+
+@given(st.data())
+def test_mutilate_memo_returns_identical_graph(data):
+    g = data.draw(dags())
+    cut_in, cut_out = data.draw(cut_sets(g)), data.draw(cut_sets(g))
+    first = g.mutilate(sorted(cut_in), sorted(cut_out))
+    assert g.mutilate(set(cut_in), frozenset(cut_out)) is first
+    assert g.mutilate(sorted(cut_in, reverse=True),
+                      sorted(cut_out, reverse=True)) is first
+    assert g.mutilate(cut_incoming=tuple(cut_in),
+                      cut_outgoing=list(cut_out)) is first
+
+
+@given(st.data())
+def test_mutilate_rejects_unknown_names_after_caching(data):
+    g = data.draw(dags())
+    cut_in, cut_out = data.draw(cut_sets(g)), data.draw(cut_sets(g))
+    g.mutilate(cut_in, cut_out)
+    for _ in range(2):
+        with pytest.raises(GraphError, match="'Q'"):
+            g.mutilate(cut_in | {"Q"}, cut_out)
+        with pytest.raises(GraphError, match="'Q'"):
+            g.mutilate(cut_in, cut_out | {"Q"})
+
+
+@given(st.data())
+def test_cut_of_cut_graph(data):
+    g = data.draw(dags())
+    in1, out1 = data.draw(cut_sets(g)), data.draw(cut_sets(g))
+    in2, out2 = data.draw(cut_sets(g)), data.draw(cut_sets(g))
+    h = g.mutilate(in1, out1).mutilate(in2, out2)
+    _assert_same_graph(h, CausalGraph(g.variables,
+                                      _kept(g, in1 | in2, out1 | out2)))
+    assert h == g.mutilate(in1 | in2, out1 | out2)
+
+
+def test_mutilate_memo_shared_across_threads():
+    import random as _r
+    import sys
+    import threading
+    g = random_dag(_r.Random(3), n=8, p=0.4, latent=0.25)
+    rng = _r.Random(4)
+    cuts = [(frozenset(rng.sample(g.names, rng.randint(0, 3))),
+             frozenset(rng.sample(g.names, rng.randint(0, 3))))
+            for _ in range(12)]
+    refs = [CausalGraph(g.variables, _kept(g, ci, co)) for ci, co in cuts]
+    bad = []
+
+    def work():
+        for _ in range(30):
+            for (ci, co), ref in zip(cuts, refs):
+                h = g.mutilate(ci, co)
+                if (h != ref or
+                        h.topological_order() != ref.topological_order()):
+                    bad.append((ci, co))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert bad == []
+    assert all(g.mutilate(ci, co) is g.mutilate(set(ci), set(co))
+               for ci, co in cuts)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -12,10 +13,13 @@ from causalid import (IDENTIFIED, KNOWN_NON_IDENTIFIABLE,
                       random_model, render, rule1_applicable,
                       rule2_applicable, rule3_applicable, run_entry,
                       unavailable)
+from causalid.dsl import parse_graph
 from causalid.expr import alpha_equal
 from causalid.identify import _role_isomorphic, find_frontdoor_sets
 
 from conftest import random_dag
+
+DEMO = Path(__file__).resolve().parent.parent / "demo"
 
 
 # -- back-door criterion ------------------------------------------------------
@@ -166,6 +170,32 @@ def test_identify_frontdoor_full_derivation(frontdoor_graph):
         (("X",), ("Z",), (), ("Z",), ()),
         (("Y",), ("Z",), ("X",), (), ("Z",)),
     ]
+
+
+def test_identify_builds_each_cut_graph_once(monkeypatch):
+    # graph surgery is memoized and trusted: after parsing, the search,
+    # replay and verification build no graph through the validating
+    # constructor, and only 11 distinct cut graphs exist
+    g = parse_graph((DEMO / "frontdoor.graph").read_text())
+    built, cuts = [], []
+    init, mutilate = CausalGraph.__init__, CausalGraph.mutilate
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    def recording_mutilate(self, *args, **kwargs):
+        cut = mutilate(self, *args, **kwargs)
+        cuts.append(cut)
+        return cut
+
+    monkeypatch.setattr(CausalGraph, "__init__", counting_init)
+    monkeypatch.setattr(CausalGraph, "mutilate", recording_mutilate)
+    res = identify(Query(g, ("X",), ("Y",)))
+    assert res.status == IDENTIFIED
+    assert built == []
+    assert len({id(c) for c in cuts}) == 11
+    assert len(cuts) > 11
 
 
 def test_identify_budget_one_fails_on_frontdoor(frontdoor_graph):

@@ -65,7 +65,7 @@ def _reach_states(g: CausalGraph, xs: frozenset[str], zs: frozenset[str]):
     unobserved.  Yields states with predecessors for witness recovery.
     """
     anc_z = zs | g.ancestors(zs) if zs else frozenset()
-    pred: dict[tuple[str, str], tuple[str, str] | None] = {}
+    pred: dict[tuple[str, str], tuple[str, str]] = {}
     queue: deque[tuple[str, str]] = deque()
     # the query is validated, so walk the adjacency tables directly in
     # declaration order instead of re-checking every visited name
@@ -115,38 +115,28 @@ def connecting_path(g: CausalGraph, X: Iterable[str], Y: Iterable[str],
                     Z: Iterable[str] = ()) -> Path | None:
     """An open path witnessing d-connection, or None when separated.
 
-    The reachability sweep proves connection; the witness itself is the
-    first open path in deterministic enumeration order.
+    The witness is the sweep's shortest trail to the first Y state
+    reached, read back through the BFS predecessors.  It never repeats a
+    node: a later state of a node already on the trail has no successor
+    the earlier state lacks (a start state has them all; arriving "in"
+    and later leaving "out" needs a bounce below the node, which puts it
+    in anc(Z); and "out" continues wherever "in" does for a node outside
+    Z), so the trail could have been shortcut, contradicting BFS depth.
     """
     xs, ys, zs = _validate_sep_query(g, X, Y, Z)
-    hit = None
     for (v, how), pred in _reach_states(g, xs, zs):
         if v in ys:
-            hit = ((v, how), pred)
             break
-    if hit is None:
+    else:
         return None
-    # walk predecessors; the result can revisit a node under the other
-    # direction, in which case fall back to path enumeration
-    state, pred = hit
-    trail = [state[0]]
-    cur = pred[state]
-    while cur is not None and cur[1] != "start":
+    trail = [v]
+    cur = pred[(v, how)]
+    while cur[1] != "start":
         trail.append(cur[0])
         cur = pred[cur]
-    if cur is not None:
-        trail.append(cur[0])
+    trail.append(cur[0])
     trail.reverse()
-    if len(set(trail)) == len(trail):
-        return Path.from_nodes(g, trail)
-    for x in sorted(xs, key=g.index):
-        for y in sorted(ys, key=g.index):
-            for path in g.paths_between(x, y, max_nodes=len(g.names)):
-                if set(path.nodes[1:-1]) & (xs | ys):
-                    continue
-                if not path_blocked(g, path, zs):
-                    return path
-    raise AssertionError("reachability and path enumeration disagree")
+    return Path.from_nodes(g, trail)
 
 
 def d_separated_exhaustive(g: CausalGraph, X: Iterable[str],

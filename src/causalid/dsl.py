@@ -96,10 +96,17 @@ def parse_graph(text: str) -> CausalGraph:
     brace)."""
     if text.lstrip().startswith("{"):
         return _graph_from_json(text)
+    return _graph_from_directives(_scan(text))
+
+
+def _graph_from_directives(lines: Iterable[tuple[int, list[str]]]
+                           ) -> CausalGraph:
+    """Build a graph from (lineno, tokens) directive pairs, so errors
+    name the line of the source text the pairs came from."""
     variables: list[Variable] = []
     edges: list[tuple[str, str]] = []
     arcs: list[tuple[int, tuple[str, str]]] = []
-    for i, toks in _scan(text):
+    for i, toks in lines:
         kind = toks[0]
         if kind == "var":
             if len(toks) == 2:
@@ -144,19 +151,19 @@ def _parse_pa_assignment(toks: list[str], line: int) -> dict[str, str]:
 def parse_model(text: str) -> DiscreteModel:
     """Parse the model DSL: graph directives plus domains and exact
     conditional tables."""
-    graph_lines: list[str] = []
+    graph_lines: list[tuple[int, list[str]]] = []
     domain_lines: list[tuple[int, list[str]]] = []
     cpt_lines: list[tuple[int, list[str]]] = []
     for i, toks in _scan(text):
         if toks[0] in ("var", "edge", "arc"):
-            graph_lines.append(" ".join(toks))
+            graph_lines.append((i, toks))
         elif toks[0] == "domain":
             domain_lines.append((i, toks))
         elif toks[0] == "cpt":
             cpt_lines.append((i, toks))
         else:
             raise ParseError(i, f"unknown directive {toks[0]!r}")
-    g = parse_graph("\n".join(graph_lines))
+    g = _graph_from_directives(graph_lines)
 
     domains: dict[str, tuple[str, ...]] = {}
     for i, toks in domain_lines:

@@ -104,17 +104,9 @@ def find_backdoor_sets(g: CausalGraph, X, Y) -> list[frozenset[str]]:
     """All inclusion-minimal admissible observed adjustment sets, sorted
     by cardinality then lexicographically (declaration order)."""
     xs, ys = frozenset(X), frozenset(Y)
-    pool = [n for n in g.observed_names if n not in xs | ys]
-    admissible = []
-    for r in range(len(pool) + 1):
-        for zs in combinations(pool, r):
-            if backdoor_admissible(g, xs, ys, zs):
-                admissible.append(frozenset(zs))
-    minimal = [z for z in admissible
-               if not any(o < z for o in admissible)]
-    minimal.sort(key=lambda z: (len(z), tuple(g.index(n) for n in
-                                              g.ordered(z))))
-    return minimal
+    if backdoor_admissible(g, xs, ys, ()):
+        return [frozenset()]
+    return _minimal_sets(g, xs, ys, backdoor_admissible)
 
 
 def backdoor_formula(X, Y, Z) -> Expr:
@@ -158,20 +150,25 @@ def frontdoor_admissible(g: CausalGraph, X, Y, Z) -> bool:
 
 
 def find_frontdoor_sets(g: CausalGraph, X, Y) -> list[frozenset[str]]:
-    """Nonempty observed mediator sets satisfying the criterion,
-    inclusion-minimal first."""
-    xs, ys = frozenset(X), frozenset(Y)
+    """All inclusion-minimal nonempty observed mediator sets, sorted by
+    cardinality then lexicographically (declaration order)."""
+    return _minimal_sets(g, frozenset(X), frozenset(Y), frontdoor_admissible)
+
+
+def _minimal_sets(g: CausalGraph, xs, ys, admissible
+                  ) -> list[frozenset[str]]:
+    """Inclusion-minimal nonempty observed sets outside X u Y passing
+    ``admissible``, in (size, declaration) order.  Subsets come smallest
+    first, so a candidate containing a set already found is not minimal
+    and is skipped untested."""
     pool = [n for n in g.observed_names if n not in xs | ys]
-    admissible = []
-    for r in range(1, len(pool) + 1):
-        for zs in combinations(pool, r):
-            if frontdoor_admissible(g, xs, ys, zs):
-                admissible.append(frozenset(zs))
-    minimal = [z for z in admissible
-               if not any(o < z for o in admissible)]
-    minimal.sort(key=lambda z: (len(z), tuple(g.index(n) for n in
-                                              g.ordered(z))))
-    return minimal
+    found: list[frozenset[str]] = []
+    for zs in _subsets(g, pool):
+        if any(f <= zs for f in found):
+            continue
+        if admissible(g, xs, ys, zs):
+            found.append(zs)
+    return found
 
 
 def frontdoor_formula(X, Y, Z) -> Expr:
@@ -305,7 +302,11 @@ def _subsets(g: CausalGraph, names, proper: bool = False):
 
 class _Searcher:
     """Budget-bounded minimal-cost search over term states with
-    memoization; explored iteratively with shrinking cost caps."""
+    memoization, in one depth-first branch-and-bound pass: each state
+    tries every move, tightening the cap to one below the best cost
+    found so far, so ``solve(s, c)`` returns a minimum-cost plan
+    whenever one of cost at most ``c`` exists.  Ties go to the first
+    move in generation order."""
 
     def __init__(self, g: CausalGraph):
         self.g = g
@@ -338,8 +339,6 @@ class _Searcher:
         return best
 
     def _try(self, move, cap: int):
-        if cap <= 0:
-            return None
         kind = move[0]
         if kind == "closure":
             plan = move[1]
@@ -593,12 +592,7 @@ def identify(query: Query, budget: int = DEFAULT_BUDGET,
     g = query.graph
     state = (frozenset(query.outcome), frozenset(),
              frozenset(query.treatment))
-    searcher = _Searcher(g)
-    got = None
-    for limit in range(1, budget + 1):
-        got = searcher.solve(state, limit)
-        if got is not None:
-            break
+    got = _Searcher(g).solve(state, budget)
     if got is None:
         if matches_non_identifiable_catalog(g, query.treatment,
                                             query.outcome):

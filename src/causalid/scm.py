@@ -283,10 +283,11 @@ class DiscreteModel:
                  domains: Mapping[str, Sequence],
                  mechanisms: Mapping[str, Mechanism]):
         self.graph = graph
-        self.domains = {n: tuple(domains[n]) for n in graph.names}
+        self.domains: dict[str, tuple] = {}
         for n in graph.names:
             if n not in domains:
                 raise ModelError(f"no domain for variable {n!r}")
+            self.domains[n] = tuple(domains[n])
             if len(self.domains[n]) < 2:
                 raise ModelError(f"domain of {n!r} needs at least 2 values")
             if len(set(self.domains[n])) != len(self.domains[n]):

@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
 
 from causalid import CausalGraph, DiscreteModel
+
+# tests that run `python -m causalid.cli` in a subprocess import this
+# checkout's package too, as pytest's `pythonpath` setting does here
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (SRC, os.environ.get("PYTHONPATH"))))
 
 settings.register_profile(
     "ci", derandomize=True, max_examples=60, deadline=None,

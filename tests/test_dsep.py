@@ -79,6 +79,22 @@ def test_witness_path(collider, chain):
     assert q.render() == "X -> Z -> Y"
 
 
+@given(st.integers(0, 5000))
+def test_witness_is_open_simple_path(seed):
+    # the witness is the sweep's predecessor trail: a simple path (Path
+    # rejects a repeated node) from X to Y that Z leaves open
+    rng = random.Random(seed)
+    g = random_dag(rng, n=rng.randint(3, 10), p=rng.uniform(0.2, 0.6),
+                   latent=rng.choice((0.0, 0.3)))
+    x, y, z = disjoint_sets(rng, g.names)
+    p = connecting_path(g, x, y, z)
+    if d_separated(g, x, y, z):
+        assert p is None
+        return
+    assert p.nodes[0] in x and p.nodes[-1] in y
+    assert not path_blocked(g, p, z)
+
+
 @given(st.integers(0, 1500))
 def test_reachability_matches_exhaustive(seed):
     rng = random.Random(seed)

@@ -131,6 +131,45 @@ def test_model_errors():
                     "cpt A | : 1/2 1/2\ncpt B | : 1/2 1/2\n")
 
 
+SPREAD_MODEL = """\
+var A
+# the domains may come before the edges
+domain A 0 1
+domain B 0 1
+edge A -> B
+cpt A | : 1/2 1/2
+cpt B | A=0 : 1/3 2/3
+cpt B | A=1 : 3/4 1/4
+var B
+"""
+
+
+def test_model_graph_errors_name_their_own_line():
+    # graph directives are reported at their line in the model text, not
+    # at their position among the graph lines alone
+    bad_edge = SPREAD_MODEL.replace("edge A -> B", "edge A => B")
+    with pytest.raises(ParseError, match="line 5: bad edge"):
+        parse_model(bad_edge)
+    bad_arc = SPREAD_MODEL.replace("edge A -> B", "arc A <> B")
+    with pytest.raises(ParseError, match="line 5: bad arc"):
+        parse_model(bad_arc)
+    # a graph-level failure is reported at the first arc's line
+    cyclic = SPREAD_MODEL.replace("edge A -> B",
+                                  "edge A -> B\nedge B -> A\narc A <-> B")
+    with pytest.raises(ParseError, match="line 7:"):
+        parse_model(cyclic)
+
+
+def test_model_graph_lines_anywhere():
+    compact = ("var A\nvar B\nedge A -> B\ndomain A 0 1\ndomain B 0 1\n"
+               "cpt A | : 1/2 1/2\ncpt B | A=0 : 1/3 2/3\n"
+               "cpt B | A=1 : 3/4 1/4\n")
+    m, want = parse_model(SPREAD_MODEL), parse_model(compact)
+    assert m.graph == want.graph
+    assert model_to_dsl(m) == model_to_dsl(want)
+    assert m.joint() == want.joint()
+
+
 def test_parse_assignment():
     m = parse_model(MODEL)
     assert parse_assignment(["X=1"], m) == {"X": "1"}

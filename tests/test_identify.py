@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from causalid import (IDENTIFIED, KNOWN_NON_IDENTIFIABLE,
                       NOT_WITHIN_BUDGET, CausalGraph, GraphError, Query,
@@ -15,7 +17,8 @@ from causalid import (IDENTIFIED, KNOWN_NON_IDENTIFIABLE,
                       unavailable)
 from causalid.dsl import parse_graph
 from causalid.expr import alpha_equal
-from causalid.identify import _role_isomorphic, find_frontdoor_sets
+from causalid.identify import (_role_isomorphic, _Searcher,
+                               find_frontdoor_sets)
 
 from conftest import random_dag
 
@@ -54,6 +57,48 @@ def test_backdoor_descendant_fails(chain):
 
 def test_no_backdoor_set_for_frontdoor_graph(frontdoor_graph):
     assert find_backdoor_sets(frontdoor_graph, {"X"}, {"Y"}) == []
+
+
+def _brute_minimal_sets(g, xs, ys, admissible, sizes):
+    # the definition: every admissible subset, keep the inclusion-minimal
+    # ones, sort by size then declaration order
+    pool = [n for n in g.observed_names if n not in xs | ys]
+    found = [frozenset(c) for r in sizes(len(pool))
+             for c in combinations(pool, r) if admissible(g, xs, ys, c)]
+    minimal = [z for z in found if not any(o < z for o in found)]
+    return sorted(minimal, key=lambda z: (len(z), [g.index(n) for n in
+                                                   g.ordered(z)]))
+
+
+def _random_effect(rng, g):
+    # an observed treatment (sometimes two nodes) with an observed
+    # outcome below it, or None when no observed node has one
+    obs = list(g.observed_names)
+    rng.shuffle(obs)
+    for x in obs:
+        below = [y for y in g.ordered(g.descendants({x}))
+                 if y in g.observed_names]
+        if below:
+            y = rng.choice(below)
+            rest = [n for n in obs if n not in (x, y)]
+            extra = rest[:1] if rng.random() < 0.3 else []
+            return frozenset([x, *extra]), frozenset([y])
+    return None
+
+
+@given(st.integers(0, 3000))
+def test_minimal_sets_match_definition(seed):
+    rng = random.Random(seed)
+    g = random_dag(rng, n=rng.randint(3, 7), p=rng.uniform(0.2, 0.6),
+                   latent=0.3)
+    effect = _random_effect(rng, g)
+    if effect is None:
+        return
+    xs, ys = effect
+    assert find_backdoor_sets(g, xs, ys) == _brute_minimal_sets(
+        g, xs, ys, backdoor_admissible, lambda n: range(n + 1))
+    assert find_frontdoor_sets(g, xs, ys) == _brute_minimal_sets(
+        g, xs, ys, frontdoor_admissible, lambda n: range(1, n + 1))
 
 
 def test_backdoor_formula_evaluates(confounder_model):
@@ -196,6 +241,57 @@ def test_identify_builds_each_cut_graph_once(monkeypatch):
     assert built == []
     assert len({id(c) for c in cuts}) == 11
     assert len(cuts) > 11
+
+
+def _count_move_generations(monkeypatch):
+    states = []
+    moves = _Searcher._moves
+
+    def counting_moves(self, state):
+        states.append(state)
+        return moves(self, state)
+
+    monkeypatch.setattr(_Searcher, "_moves", counting_moves)
+    return states
+
+
+def test_identify_generates_moves_in_one_pass(monkeypatch):
+    # one branch-and-bound pass: the bow has a single state and no plan,
+    # so its moves are generated once, not once per budget level
+    states = _count_move_generations(monkeypatch)
+    bow = CausalGraph(["X", "Y"], [("X", "Y")], bidirected=[("X", "Y")])
+    res = identify(Query(bow, ("X",), ("Y",)))
+    assert res.status == NOT_WITHIN_BUDGET
+    assert len(states) == 1
+    states.clear()
+    g = parse_graph((DEMO / "frontdoor.graph").read_text())
+    res = identify(Query(g, ("X",), ("Y",)))
+    assert res.status == IDENTIFIED
+    assert (len(states), len(set(states))) == (15, 9)
+
+
+@given(st.integers(0, 400))
+def test_single_pass_equals_iterative_deepening(seed):
+    # solve(s, b) returns a minimum-cost plan whenever one of cost <= b
+    # exists, with ties to the first move generated, so it matches the
+    # deepening loop that raises the cap from 1 until a plan appears
+    rng = random.Random(seed)
+    g = random_dag(rng, n=rng.randint(3, 6), p=rng.uniform(0.3, 0.7),
+                   latent=0.3)
+    effect = _random_effect(rng, g)
+    if effect is None:
+        return
+    xs, ys = effect
+    state = (ys, frozenset(), xs)
+    deepening = _Searcher(g)
+    first = None
+    for limit in range(1, 9):
+        first = deepening.solve(state, limit)
+        if first is not None:
+            break
+    for budget in range(1, 9):
+        want = first if first is not None and first[0] <= budget else None
+        assert _Searcher(g).solve(state, budget) == want
 
 
 def test_identify_budget_one_fails_on_frontdoor(frontdoor_graph):

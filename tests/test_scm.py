@@ -364,3 +364,9 @@ def test_mechanism_validation():
             g, {"A": (0, 1), "B": (0, 1)},
             {"A": {(): (F(1, 2), F(1, 3))},
              "B": {(0,): (F(1), F(0)), (1,): (F(1), F(0))}})
+
+
+def test_missing_domain_is_model_error():
+    g = CausalGraph(["A", "B"], [("A", "B")])
+    with pytest.raises(ModelError, match="no domain"):
+        DiscreteModel(g, {"A": (0, 1)}, {})

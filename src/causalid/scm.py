@@ -7,9 +7,17 @@ full joint by multiplying the tables in topological order, performs
 interventions by graph surgery, and is the ground-truth oracle that
 every identification formula is verified against.
 
+``joint`` and ``truncated`` share one depth-first product: cells that
+agree on a prefix of the topological order share its product, computed
+once, and a zero entry drops the prefix with all its extensions.
+``JointDistribution.p`` sums its table onto each queried set of
+variables once and answers later queries on that set by lookup, so a
+table's ``probs`` is read-only after construction.
+
 Probabilities are ``fractions.Fraction`` by default so correctness
 checks are exact equalities.  A float mode (``DiscreteModel.to_float``)
 exists for large tables; every operation is generic over the entry type.
+Float products are multiplied in topological order.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .graph import CausalGraph, GraphError, ScaleError
@@ -120,10 +129,22 @@ def compile_mechanism(spec: StructuralEquationSpec,
     return Mechanism(spec.child, spec.parents, table)
 
 
+def _projector(pos: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """Map a cell to the tuple of its entries at ``pos``."""
+    if len(pos) > 1:
+        return itemgetter(*pos)
+    if pos:
+        i, = pos
+        return lambda cell: (cell[i],)
+    return lambda cell: ()
+
+
 class JointDistribution:
     """Exact table over full assignments of a fixed variable order.
 
-    Cells with zero probability may be omitted from ``probs``.
+    Cells with zero probability may be omitted from ``probs``.  ``probs``
+    is read-only after construction: ``p`` keeps the sums it computes
+    from it.
     """
 
     def __init__(self, variables: Sequence[str],
@@ -139,6 +160,8 @@ class JointDistribution:
                 raise ModelError(f"joint table sums to {total}, not 1")
             if not exact and abs(total - 1.0) > 1e-9:
                 raise ModelError(f"joint table sums to {total}, not 1")
+        # sorted positions -> {their values: summed probability}
+        self._sums: dict[tuple[int, ...], dict[tuple, object]] = {}
 
     def _positions(self, names: Iterable[str]) -> list[int]:
         idx = {n: i for i, n in enumerate(self.variables)}
@@ -149,26 +172,41 @@ class JointDistribution:
             out.append(idx[n])
         return out
 
+    def _kept(self, names: Iterable[str]) -> list[int]:
+        """Positions of ``names`` in table order; unknown names raise."""
+        named = set(self._positions(names))
+        return [i for i in range(len(self.variables)) if i in named]
+
     def p(self, assignment: Mapping[str, Value]):
-        """Probability of a (possibly partial) assignment."""
-        pos = self._positions(assignment)
-        want = [assignment[self.variables[i]] for i in pos]
-        zero = Fraction(0)
-        total = zero
-        for cell, pr in self.probs.items():
-            if all(cell[i] == w for i, w in zip(pos, want)):
-                total += pr
-        return total
+        """Probability of a (possibly partial) assignment.
+
+        The first query over a set of variables sums ``probs`` onto it in
+        one pass, each key in ``probs`` order from ``Fraction(0)`` as a
+        scan would; later queries over the same set are lookups.
+        """
+        pos = tuple(sorted(self._positions(assignment)))
+        sums = self._sums.get(pos)
+        if sums is None:
+            key = _projector(pos)
+            zero = Fraction(0)
+            sums = {}
+            for cell, pr in self.probs.items():
+                k = key(cell)
+                sums[k] = sums.get(k, zero) + pr
+            self._sums[pos] = sums
+        return sums.get(tuple(assignment[self.variables[i]] for i in pos),
+                        Fraction(0))
 
     def marginal(self, names: Iterable[str]) -> JointDistribution:
-        keep = [n for n in self.variables if n in set(names)]
-        pos = self._positions(keep)
+        pos = self._kept(names)
+        key = _projector(pos)
         acc: dict[tuple, object] = {}
         for cell, pr in self.probs.items():
-            key = tuple(cell[i] for i in pos)
-            acc[key] = acc.get(key, 0) + pr
-        doms = [self.domains[i] for i in pos]
-        return JointDistribution(keep, doms, acc, _validate=False)
+            k = key(cell)
+            acc[k] = acc.get(k, 0) + pr
+        return JointDistribution([self.variables[i] for i in pos],
+                                 [self.domains[i] for i in pos], acc,
+                                 _validate=False)
 
     def conditional(self, names: Iterable[str],
                     given: Mapping[str, Value]) -> JointDistribution:
@@ -176,24 +214,25 @@ class JointDistribution:
         assignment; zero-probability conditioning raises."""
         gpos = self._positions(given)
         want = [given[self.variables[i]] for i in gpos]
-        keep = [n for n in self.variables
-                if n in set(names) and n not in given]
-        kpos = self._positions(keep)
+        kpos = [i for i in self._kept(names)
+                if self.variables[i] not in given]
+        key = _projector(kpos)
         acc: dict[tuple, object] = {}
         norm = 0
         for cell, pr in self.probs.items():
             if all(cell[i] == w for i, w in zip(gpos, want)):
                 norm += pr
-                key = tuple(cell[i] for i in kpos)
-                acc[key] = acc.get(key, 0) + pr
+                k = key(cell)
+                acc[k] = acc.get(k, 0) + pr
         if norm == 0:
             ev = ",".join(f"{self.variables[i]}={v!r}"
                           for i, v in zip(gpos, want))
             raise PositivityError(f"conditioning event ({ev}) "
                                   "has probability zero")
         out = {k: v / norm for k, v in acc.items()}
-        doms = [self.domains[i] for i in kpos]
-        return JointDistribution(keep, doms, out, _validate=False)
+        return JointDistribution([self.variables[i] for i in kpos],
+                                 [self.domains[i] for i in kpos], out,
+                                 _validate=False)
 
     def assignments(self) -> Iterable[tuple]:
         return product(*self.domains)
@@ -202,7 +241,11 @@ class JointDistribution:
         return sum(self.probs.values())
 
     def total_variation(self, other: JointDistribution):
-        assert self.variables == other.variables
+        if self.variables != other.variables:
+            raise GraphError(
+                f"total variation needs tables over the same variables, "
+                f"got ({','.join(self.variables)}) and "
+                f"({','.join(other.variables)})")
         keys = set(self.probs) | set(other.probs)
         diff = sum(abs(Fraction(self.probs.get(k, 0))
                        - Fraction(other.probs.get(k, 0))) for k in keys)
@@ -273,6 +316,31 @@ class Dataset:
         if not rows:
             raise ModelError("empty dataset")
         return cls(tuple(rows[0]), tuple(tuple(r) for r in rows[1:]))
+
+
+def _extend(steps: list, depth: int, vals: list, pr, out: dict) -> None:
+    """Extend the assignment prefix ``vals`` (probability ``pr``) through
+    ``steps[depth:]`` depth-first, storing each nonzero full cell in
+    ``out``.  A step is ``(position, domain, mechanism, parent
+    positions)``; a pinned step has a one-value domain and no mechanism,
+    so its factor is 1.
+
+    A module-level function rather than a self-calling closure: such a
+    closure forms a reference cycle that keeps ``out`` alive until the
+    cyclic garbage collector runs.
+    """
+    pos, dom, mech, parents = steps[depth]
+    row = ((1,) if mech is None
+           else mech.row(tuple([vals[i] for i in parents])))
+    last = depth + 1 == len(steps)
+    for v, f in zip(dom, row):
+        q = pr * f
+        if q:
+            vals[pos] = v
+            if last:
+                out[tuple(vals)] = q
+            else:
+                _extend(steps, depth + 1, vals, q, out)
 
 
 class DiscreteModel:
@@ -358,24 +426,42 @@ class DiscreteModel:
 
     # -- core operations ------------------------------------------------
 
-    def joint(self) -> JointDistribution:
-        """Full joint table: product of the conditional tables."""
-        if self._joint is not None:
-            return self._joint
+    def _product(self, target: str | None = None,
+                 value: Value = None) -> dict[tuple, object]:
+        """Nonzero cells of the product of the conditional tables, keyed
+        in declaration order.  With a ``target``, that variable is pinned
+        to ``value`` and its own factor left out (the truncated product).
+
+        The variables are walked depth-first in topological order, so
+        each prefix product is computed once and a zero entry drops the
+        prefix with all its extensions.  Float products are therefore
+        multiplied in topological order.
+        """
         self._budget_check()
-        names = self.graph.names
-        doms = [self.domains[n] for n in names]
-        probs: dict[tuple, object] = {}
-        for cell in product(*doms):
-            a = dict(zip(names, cell))
-            pr = 1
-            for n in names:
-                pr = pr * self.prob_given_parents(n, a[n], a)
-                if pr == 0:
-                    break
-            if pr:
-                probs[cell] = pr
-        self._joint = JointDistribution(names, doms, probs)
+        steps = []
+        for var in self.graph.topological_order():
+            n, dom = var.name, self.domains[var.name]
+            if n == target:
+                steps.append((self.graph.index(n), (dom[dom.index(value)],),
+                              None, ()))
+                continue
+            m = self.mechanisms[n]
+            steps.append((self.graph.index(n), dom, m,
+                          tuple(self.graph.index(p) for p in m.parents)))
+        cells: dict[tuple, object] = {}
+        if steps:
+            _extend(steps, 0, [None] * len(steps), 1, cells)
+        else:
+            cells[()] = 1
+        return cells
+
+    def joint(self) -> JointDistribution:
+        """Full joint table: product of the conditional tables, built
+        once per model (shared prefix products, see ``_product``)."""
+        if self._joint is None:
+            names = self.graph.names
+            self._joint = JointDistribution(
+                names, [self.domains[n] for n in names], self._product())
         return self._joint
 
     def truncated(self, target: str, value: Value) -> JointDistribution:
@@ -383,28 +469,14 @@ class DiscreteModel:
         target's own factor, zero out assignments with target != value.
 
         The product form sidesteps division by zero-probability rows.
+        It shares ``_product`` with ``joint``.
         """
         self.graph.index(target)
         if value not in self.domains[target]:
             raise ModelError(f"{value!r} not in domain of {target!r}")
-        self._budget_check()
         names = self.graph.names
-        doms = [self.domains[n] for n in names]
-        probs: dict[tuple, object] = {}
-        for cell in product(*doms):
-            a = dict(zip(names, cell))
-            if a[target] != value:
-                continue
-            pr = 1
-            for n in names:
-                if n == target:
-                    continue
-                pr = pr * self.prob_given_parents(n, a[n], a)
-                if pr == 0:
-                    break
-            if pr:
-                probs[cell] = pr
-        return JointDistribution(names, doms, probs)
+        return JointDistribution(names, [self.domains[n] for n in names],
+                                 self._product(target, value))
 
     def intervene(self, assignments: Mapping[str, Value]) -> DiscreteModel:
         """Graph surgery: cut edges into the assigned variables and pin

@@ -1,15 +1,20 @@
 import random
 from fractions import Fraction as F
 from itertools import product
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from causalid import (CausalGraph, DiscreteModel, Mechanism, ModelError,
-                      PositivityError, ScaleError, StructuralEquationSpec,
-                      compile_mechanism, fit, graft_coin, independent,
-                      random_model)
-
+from causalid import (CausalGraph, DiscreteModel, GraphError, Mechanism,
+                      ModelError, PositivityError, ScaleError,
+                      StructuralEquationSpec, compile_mechanism, fit,
+                      graft_coin, independent, random_model)
+from causalid.dsl import parse_model
 from conftest import binary_confounder_model, random_dag
+
+DEMO = Path(__file__).resolve().parent.parent / "demo"
 
 
 def fair_coin(name="X"):
@@ -370,3 +375,161 @@ def test_missing_domain_is_model_error():
     g = CausalGraph(["A", "B"], [("A", "B")])
     with pytest.raises(ModelError, match="no domain"):
         DiscreteModel(g, {"A": (0, 1)}, {})
+
+
+# -- shared-prefix products and summed lookups ---------------------------------
+
+def _model_with_zeros(rng: random.Random) -> DiscreteModel:
+    """Random model with latents, cardinalities 2-3 and rows holding exact
+    zeros; ``random_dag`` declares variables out of topological order."""
+    g = random_dag(rng, n=rng.randint(1, 6), p=0.45, latent=0.3)
+    domains = {n: tuple(range(rng.choice((2, 3)))) for n in g.names}
+    tables = {}
+    for n in g.names:
+        ps = g.ordered(g.parents(n))
+        rows = {}
+        for pa in product(*[domains[p] for p in ps]):
+            w = [rng.choice((0, 0, 1, 2, 5)) for _ in domains[n]]
+            if not any(w):
+                w[rng.randrange(len(w))] = 1
+            rows[pa] = tuple(F(x, sum(w)) for x in w)
+        tables[n] = rows
+    return DiscreteModel.from_tables(g, domains, tables)
+
+
+def _per_cell_product(m: DiscreteModel, target=None, value=None) -> dict:
+    """The exhaustive per-cell loop: every full assignment, every factor
+    looked up again, zero cells dropped."""
+    names = m.graph.names
+    probs = {}
+    for cell in product(*[m.domains[n] for n in names]):
+        a = dict(zip(names, cell))
+        if target is not None and a[target] != value:
+            continue
+        pr = 1
+        for n in names:
+            if n == target:
+                continue
+            pr = pr * m.prob_given_parents(n, a[n], a)
+            if pr == 0:
+                break
+        if pr:
+            probs[cell] = pr
+    return probs
+
+
+@given(st.integers(0, 10 ** 6))
+def test_joint_and_truncated_equal_per_cell_product(seed):
+    rng = random.Random(seed)
+    m = _model_with_zeros(rng)
+    assert m.joint().probs == _per_cell_product(m)
+    t = rng.choice(m.graph.names)
+    for v in m.domains[t]:
+        assert m.truncated(t, v).probs == _per_cell_product(m, t, v)
+
+
+@given(st.integers(0, 10 ** 6))
+def test_p_equals_scan_over_cells(seed):
+    rng = random.Random(seed)
+    j = _model_with_zeros(rng).joint()
+    assert j.p({}) == 1
+    for _ in range(12):
+        names = rng.sample(j.variables, rng.randint(0, len(j.variables)))
+        a = {n: rng.choice(j.domains[j.variables.index(n)]) for n in names}
+        want = sum((pr for cell, pr in j.probs.items()
+                    if all(cell[j.variables.index(n)] == v
+                           for n, v in a.items())), F(0))
+        assert j.p(a) == want
+        assert j.p(dict(reversed(list(a.items())))) == want
+        assert j.p(a) == want
+    with pytest.raises(GraphError, match="unknown variable"):
+        j.p({"Nope": 0})
+
+
+@given(st.integers(0, 10 ** 6))
+def test_float_joint_agrees_with_exact(seed):
+    m = _model_with_zeros(random.Random(seed))
+    exact, approx = m.joint(), m.to_float().joint()
+    assert approx.probs.keys() == exact.probs.keys()
+    assert all(abs(approx.probs[k] - float(pr)) <= 1e-12
+               for k, pr in exact.probs.items())
+
+
+def test_p_absent_cell_is_exact_zero():
+    g = CausalGraph(["A"])
+    m = DiscreteModel.from_tables(g, {"A": (0, 1)}, {"A": {(): (F(1), F(0))}})
+    j = m.joint()
+    assert j.probs == {(0,): F(1)}
+    assert j.p({"A": 1}) == 0 and isinstance(j.p({"A": 1}), F)
+
+
+class _CountingDict(dict):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.scans = 0
+
+    def items(self):
+        self.scans += 1
+        return super().items()
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+
+def test_shared_prefixes_and_one_scan_per_variable_set(monkeypatch):
+    # joint: 1 + 2 + 4 + 8 rows for U, X, Z, Y (the per-cell loop looks
+    # up 16 cells x 4 factors = 64); truncated: X pinned, so 1 + 2 + 4
+    # (the per-cell loop: 8 cells x 3 factors = 24)
+    m = parse_model((DEMO / "frontdoor.model").read_text())
+    lookups = []
+    row = Mechanism.row
+
+    def counting_row(self, parent_values):
+        lookups.append(self.child)
+        return row(self, parent_values)
+
+    monkeypatch.setattr(Mechanism, "row", counting_row)
+    j = m.joint()
+    assert len(lookups) == 15
+    lookups.clear()
+    m.truncated("X", "1")
+    assert len(lookups) == 7
+    # a zero entry drops its prefix with every extension: B's row for
+    # A=1 is never read
+    z = DiscreteModel.from_tables(
+        CausalGraph(["B", "A"], [("A", "B")]), {"A": (0, 1), "B": (0, 1)},
+        {"A": {(): (F(1), F(0))},
+         "B": {(0,): (F(1, 2), F(1, 2)), (1,): (F(1, 3), F(2, 3))}})
+    lookups.clear()
+    assert z.joint().probs == {(0, 0): F(1, 2), (1, 0): F(1, 2)}
+    assert lookups == ["A", "B"]
+    j.probs = _CountingDict(j.probs)
+    for a in ({"Y": "1"}, {"Y": "0"}, {"X": "1", "Y": "0"},
+              {"Y": "1", "X": "0"}, {"X": "0", "Y": "1"}, {}, {}):
+        j.p(a)
+    assert j.probs.scans == 3
+
+
+def test_marginal_reads_a_one_shot_iterator():
+    j = binary_confounder_model().joint()
+    assert j.marginal(iter(["Z", "Y"])).variables == ("Z", "Y")
+    assert j.conditional(iter(["X", "Y"]), {"Z": 0}).variables == ("X", "Y")
+
+
+def test_marginal_and_conditional_reject_unknown_names():
+    m = binary_confounder_model()
+    j = m.joint()
+    with pytest.raises(GraphError, match="'Nope'"):
+        j.marginal(["Y", "Nope"])
+    with pytest.raises(GraphError, match="'Nope'"):
+        j.conditional(["Nope"], {"Z": 0})
+    with pytest.raises(GraphError, match="'Nope'"):
+        m.do_marginal({"X": 0}, ["Nope"])
+
+
+def test_total_variation_needs_same_variables():
+    j = binary_confounder_model().joint()
+    assert j.total_variation(j) == 0
+    with pytest.raises(GraphError, match="same variables"):
+        j.total_variation(j.marginal(["X", "Y"]))

@@ -16,12 +16,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .expr import P, alpha_equal, evaluate
+from .expr import P, alpha_equal
 from .graph import CausalGraph
 from .identify import (IDENTIFIED, KNOWN_NON_IDENTIFIABLE, Query,
                        backdoor_admissible, backdoor_formula,
                        find_backdoor_sets, frontdoor_admissible,
-                       frontdoor_formula, identify)
+                       frontdoor_formula, identify, oracle_disagreement)
 from .scm import random_model
 
 # seed for the per-entry numeric cross-checks
@@ -242,21 +242,12 @@ def run_entry(entry: CorpusEntry) -> tuple[bool, str]:
 
         # numeric cross-check on a fresh random model
         m = random_model(g, random.Random(_CHECK_SEED))
-        for xv in _assignments(m, X):
-            oracle = m.do_marginal(xv, Y)
-            for yv in _assignments(m, Y):
-                got = evaluate(res.formula, m, {**xv, **yv})
-                if got != oracle.p(yv):
-                    return False, (f"value mismatch at {xv} {yv}: "
-                                   f"{got} != {oracle.p(yv)}")
+        bad = oracle_disagreement(res.formula, m, X, Y)
+        if bad is not None:
+            binding, got, oracle = bad
+            return False, (f"value mismatch at {binding}: "
+                           f"{got} != {oracle}")
         return True, f"identified; formula checks out ({res.budget_spent}" \
                      " steps)"
     except Exception as exc:  # a crash is a failed expectation
         return False, f"error: {exc}"
-
-
-def _assignments(m, names):
-    from itertools import product
-    doms = [m.domains[n] for n in names]
-    for combo in product(*doms):
-        yield dict(zip(names, combo))

@@ -59,10 +59,6 @@ def _fr(x) -> str:
     return str(x)
 
 
-def _approx(x) -> str:
-    return repr(float(x))
-
-
 # -- dsep ----------------------------------------------------------------
 
 def cmd_dsep(args) -> int:
@@ -182,29 +178,39 @@ def cmd_eval(args) -> int:
         [n for n in (axes if formula else []) if base_name(n) not in
          set(free_do) | set(targets) | set(fixed)]
 
+    # The do variables lead the axes, so each do-assignment's rows are
+    # consecutive: its oracle tables are built on its first row, read by
+    # the rest, and dropped when the assignment changes.
     rows = []
     doms = [m.domains[base_name(v)] for v in axis_vars]
+    current = surgery = truncated = None
     for combo in product(*doms):
         binding = dict(fixed)
         binding.update({v: c for v, c in zip(axis_vars, combo)})
         do_assign = {n: binding[n] for n in do_vars}
+        if do_assign != current:
+            current, surgery, truncated = do_assign, None, None
+        outcome = {t: binding[t] for t in targets}
         if formula is not None:
             value = evaluate(formula, m, binding)
         else:
-            jd = m.do_marginal(do_assign, targets)
-            value = jd.p({t: binding[t] for t in targets})
+            if surgery is None:
+                surgery = m.do_marginal(do_assign, targets)
+            value = surgery.p(outcome)
         row = {"binding": {v: binding[v] for v in
                            list(fixed) + axis_vars},
                "exact": _fr(value), "approx": float(value)}
         if args.check:
             if formula is not None:
-                oracle = m.do_marginal(do_assign, targets) \
-                    .p({t: binding[t] for t in targets})
+                if surgery is None:
+                    surgery = m.do_marginal(do_assign, targets)
+                oracle = surgery.p(outcome)
             else:
                 # independent route: truncated product factorization
                 (var, val), = do_assign.items()
-                oracle = m.truncated(var, val).marginal(targets) \
-                    .p({t: binding[t] for t in targets})
+                if truncated is None:
+                    truncated = m.truncated(var, val).marginal(targets)
+                oracle = truncated.p(outcome)
             row["check_diff"] = _fr(value - oracle)
         rows.append(row)
 

@@ -140,14 +140,13 @@ def connecting_path(g: CausalGraph, X: Iterable[str], Y: Iterable[str],
 
 
 def d_separated_exhaustive(g: CausalGraph, X: Iterable[str],
-                           Y: Iterable[str], Z: Iterable[str] = (),
-                           max_nodes: int = PATH_ENUM_GUARD) -> bool:
+                           Y: Iterable[str], Z: Iterable[str] = ()) -> bool:
     """Oracle-scale separation check: enumerate every path and test each
     with the per-path blocking rule."""
     xs, ys, zs = _validate_sep_query(g, X, Y, Z)
     for x in sorted(xs, key=g.index):
         for y in sorted(ys, key=g.index):
-            for path in g.paths_between(x, y, max_nodes):
+            for path in g.paths_between(x, y):
                 if set(path.nodes[1:-1]) & (xs | ys):
                     # a path grazing another endpoint is covered by the
                     # shorter path it contains
@@ -170,15 +169,14 @@ class Statement:
         return f"{self.x} _||_ {self.y} |{tail}"
 
 
-def implied_independencies(g: CausalGraph, observed_only: bool = False,
-                           max_nodes: int = PATH_ENUM_GUARD
+def implied_independencies(g: CausalGraph, observed_only: bool = False
                            ) -> frozenset[Statement]:
     """All singleton-pair separations implied by the graph topology, with
     the conditioning set ranging over subsets of the remaining
     (optionally observed-only) variables."""
-    if len(g.names) > max_nodes:
+    if len(g.names) > PATH_ENUM_GUARD:
         raise ScaleError(
-            f"independence enumeration limited to {max_nodes} nodes; "
+            f"independence enumeration limited to {PATH_ENUM_GUARD} nodes; "
             "intended for oracle-scale graphs")
     pool = g.observed_names if observed_only else g.names
     out = set()
@@ -201,12 +199,11 @@ def observationally_equivalent(g1: CausalGraph, g2: CausalGraph) -> bool:
             and g1.v_structures() == g2.v_structures())
 
 
-def equivalence_class(g: CausalGraph,
-                      guard: int = PATTERN_GUARD) -> tuple[CausalGraph, ...]:
+def equivalence_class(g: CausalGraph) -> tuple[CausalGraph, ...]:
     """Every DAG orientation of the skeleton with the same v-structures."""
-    if len(g.names) > guard:
+    if len(g.names) > PATTERN_GUARD:
         raise ScaleError(
-            f"pattern enumeration limited to {guard} nodes")
+            f"pattern enumeration limited to {PATTERN_GUARD} nodes")
     skel = sorted(g.skeleton(), key=lambda e: (g.index(e[0]), g.index(e[1])))
     target = g.v_structures()
     members = []
@@ -222,11 +219,10 @@ def equivalence_class(g: CausalGraph,
     return tuple(members)
 
 
-def pattern(g: CausalGraph, guard: int = PATTERN_GUARD
-            ) -> PartiallyDirectedGraph:
+def pattern(g: CausalGraph) -> PartiallyDirectedGraph:
     """Equivalence-class pattern: an edge is directed iff it is oriented
     the same way in every member of the class."""
-    members = equivalence_class(g, guard)
+    members = equivalence_class(g)
     directed, undirected = [], []
     for a, b in sorted(g.skeleton(),
                        key=lambda e: (g.index(e[0]), g.index(e[1]))):

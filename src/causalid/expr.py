@@ -24,7 +24,7 @@ from itertools import product as iproduct
 from typing import Iterable, Mapping, Union
 
 from .graph import CausalGraph
-from .scm import DiscreteModel, JointDistribution, PositivityError
+from .scm import DiscreteModel, PositivityError
 
 _SUFFIX_RE = re.compile(r"^(.*?)__([0-9]+)$")
 _NAME_TEXT_RE = re.compile(r"^([A-Za-z0-9_]+)('*)$")
@@ -521,10 +521,6 @@ def tidy(e: Expr) -> Expr:
     return Quotient(tidy(e.num), tidy(e.den))
 
 
-def canonical_text(e: Expr) -> str:
-    return render(canonicalize(e))
-
-
 def alpha_equal(a: Expr, b: Expr) -> bool:
     return canonicalize(a) == canonicalize(b)
 
@@ -536,70 +532,75 @@ def evaluate(e: Expr, model: DiscreteModel,
     """Exact value of the expression under a binding of its free
     variables.  Terms with interventions are evaluated through graph
     surgery (the oracle semantics); do-free terms read the plain joint.
+    Each distinct do-assignment's joint is built once per call.
     """
     validate(e)
     missing = free_variables(e) - set(binding)
     if missing:
         raise ExprError(f"unbound variables: {sorted(missing)}")
-    joints: dict[frozenset, JointDistribution] = {}
+    return _value(e, model, dict(binding), {})
 
-    def joint_for(do_assign: dict) -> JointDistribution:
-        key = frozenset(do_assign.items())
-        if key not in joints:
-            joints[key] = (model.intervene(do_assign).joint()
-                           if do_assign else model.joint())
-        return joints[key]
 
-    def term_value(t: ProbTerm, env: Mapping[str, object]):
-        def assign(names):
-            out = {}
-            for n in names:
-                b = base_name(n)
-                model.graph.index(b)
-                out[b] = env[n]
-            return out
+# The walk is a set of module-level functions that pass the per-call
+# ``joints`` cache explicitly: a self-calling closure would form a
+# reference cycle that keeps the model and its joints alive until the
+# cyclic garbage collector runs.
 
-        t_assign = assign(t.targets)
-        o_assign = assign(t.given)
-        do_assign = assign(t.do)
-        jd = joint_for(do_assign)
-        if o_assign:
-            den = jd.p(o_assign)
-            if den == 0:
-                culprit = ProbTerm(t.given, (), t.do)
-                raise PositivityError(
-                    f"{render(culprit)} = 0 while evaluating {render(t)}")
-            return jd.p({**t_assign, **o_assign}) / den
-        return jd.p(t_assign)
+def _value(x: Expr, model: DiscreteModel, env: dict, joints: dict):
+    if isinstance(x, ProbTerm):
+        return _term_value(x, model, env, joints)
+    if isinstance(x, Sum):
+        doms = []
+        for b in x.bound:
+            base = base_name(b)
+            model.graph.index(base)
+            doms.append(model.domains[base])
+        total = Fraction(0)
+        for combo in iproduct(*doms):
+            env2 = dict(env)
+            env2.update(zip(x.bound, combo))
+            total = total + _value(x.body, model, env2, joints)
+        return total
+    if isinstance(x, Product):
+        val = 1
+        for f in x.factors:
+            val = val * _value(f, model, env, joints)
+        return val
+    num = _value(x.num, model, env, joints)
+    den = _value(x.den, model, env, joints)
+    if den == 0:
+        raise PositivityError(
+            f"denominator {render(x.den)} evaluates to zero")
+    return num / den
 
-    def go(x: Expr, env: dict):
-        if isinstance(x, ProbTerm):
-            return term_value(x, env)
-        if isinstance(x, Sum):
-            doms = []
-            for b in x.bound:
-                base = base_name(b)
-                model.graph.index(base)
-                doms.append(model.domains[base])
-            total = Fraction(0)
-            for combo in iproduct(*doms):
-                env2 = dict(env)
-                env2.update(zip(x.bound, combo))
-                total = total + go(x.body, env2)
-            return total
-        if isinstance(x, Product):
-            val = 1
-            for f in x.factors:
-                val = val * go(f, env)
-            return val
-        num = go(x.num, env)
-        den = go(x.den, env)
+
+def _assign(model: DiscreteModel, names, env: Mapping[str, object]) -> dict:
+    out = {}
+    for n in names:
+        b = base_name(n)
+        model.graph.index(b)
+        out[b] = env[n]
+    return out
+
+
+def _term_value(t: ProbTerm, model: DiscreteModel, env: Mapping[str, object],
+                joints: dict):
+    t_assign = _assign(model, t.targets, env)
+    o_assign = _assign(model, t.given, env)
+    do_assign = _assign(model, t.do, env)
+    key = frozenset(do_assign.items())
+    jd = joints.get(key)
+    if jd is None:
+        jd = joints[key] = (model.intervene(do_assign).joint()
+                            if do_assign else model.joint())
+    if o_assign:
+        den = jd.p(o_assign)
         if den == 0:
+            culprit = ProbTerm(t.given, (), t.do)
             raise PositivityError(
-                f"denominator {render(x.den)} evaluates to zero")
-        return num / den
-
-    return go(e, dict(binding))
+                f"{render(culprit)} = 0 while evaluating {render(t)}")
+        return jd.p({**t_assign, **o_assign}) / den
+    return jd.p(t_assign)
 
 
 # -- derivations -------------------------------------------------------

@@ -135,10 +135,6 @@ class CausalGraph:
         """Sort names by declaration order (the canonical output order)."""
         return tuple(sorted(names, key=self.index))
 
-    def is_latent(self, name: str) -> bool:
-        self.index(name)
-        return name in self.latent_names
-
     def has_edge(self, tail: str, head: str) -> bool:
         return tail in self._parents.get(head, frozenset())
 
@@ -269,12 +265,6 @@ class CausalGraph:
         self.index(head)
         return CausalGraph(self.variables, self.edges + ((tail, head),))
 
-    def without_edge(self, tail: str, head: str) -> CausalGraph:
-        if not self.has_edge(tail, head):
-            raise GraphError(f"no edge {tail}->{head}")
-        kept = [e for e in self.edges if e != (tail, head)]
-        return CausalGraph(self.variables, kept)
-
     def splice(self, tail: str, head: str, name: str,
                latent: bool = False) -> CausalGraph:
         """Replace the edge tail->head by tail->name->head."""
@@ -297,20 +287,19 @@ class CausalGraph:
 
     # -- path enumeration (oracle scale) --------------------------------
 
-    def paths_between(self, a: str, b: str,
-                      max_nodes: int = PATH_ENUM_GUARD) -> Iterator[Path]:
+    def paths_between(self, a: str, b: str) -> Iterator[Path]:
         """Yield every path between two distinct nodes, depth first.
 
-        Exponential in graph size; guarded by ``max_nodes`` because it
-        exists for oracle comparisons, not production queries.
+        Exponential in graph size; guarded by ``PATH_ENUM_GUARD`` because
+        it exists for oracle comparisons, not production queries.
         """
         self.index(a)
         self.index(b)
         if a == b:
             raise GraphError("path endpoints must be distinct")
-        if len(self.names) > max_nodes:
+        if len(self.names) > PATH_ENUM_GUARD:
             raise ScaleError(
-                f"path enumeration limited to {max_nodes} nodes "
+                f"path enumeration limited to {PATH_ENUM_GUARD} nodes "
                 f"(graph has {len(self.names)})")
 
         def neighbors(v: str) -> list[tuple[str, bool]]:
@@ -330,15 +319,14 @@ class CausalGraph:
 
         yield from walk(a, (a,), ())
 
-    def confounding_arcs(self, max_nodes: int = PATH_ENUM_GUARD
-                         ) -> tuple[Path, ...]:
+    def confounding_arcs(self) -> tuple[Path, ...]:
         """Collider-free paths joining two observed nodes through latent
         interior nodes only."""
         arcs = []
         obs = self.observed_names
         for i in range(len(obs)):
             for j in range(i + 1, len(obs)):
-                for p in self.paths_between(obs[i], obs[j], max_nodes):
+                for p in self.paths_between(obs[i], obs[j]):
                     interior = p.nodes[1:-1]
                     if not interior:
                         continue

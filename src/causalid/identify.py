@@ -15,9 +15,11 @@ rewrite derivation.  Three layers:
 The search runs its d-separation guards on the full graph including
 latent nodes, but only observed variables ever enter a formula.  A
 returned formula is cross-checked against the graph-surgery oracle on
-random models before being reported.  Failure to identify within the
-budget is never reported as non-identifiability; only isomorphism with
-a catalog entry known to be non-identifiable yields that verdict.
+random models before being reported; ``oracle_disagreement`` is that
+check, shared with the corpus, and builds one oracle table per
+do-assignment.  Failure to identify within the budget is never reported
+as non-identifiability; only isomorphism with a catalog entry known to
+be non-identifiable yields that verdict.
 """
 
 from __future__ import annotations
@@ -34,6 +36,10 @@ from .graph import CausalGraph, GraphError
 from .scm import random_model
 
 DEFAULT_BUDGET = 16
+
+# every identified formula must match the surgery oracle on the random
+# models with seeds 1..VERIFY_MODELS
+VERIFY_MODELS = 3
 
 IDENTIFIED = "identified"
 NOT_WITHIN_BUDGET = "not-identified-within-budget"
@@ -579,12 +585,12 @@ def matches_non_identifiable_catalog(g: CausalGraph, X, Y) -> bool:
 
 # -- top-level entry point --------------------------------------------------
 
-def identify(query: Query, budget: int = DEFAULT_BUDGET,
-             verify_models: int = 3) -> IdentificationResult:
+def identify(query: Query,
+             budget: int = DEFAULT_BUDGET) -> IdentificationResult:
     """Search for a do-free formula for p(outcome | do(treatment)).
 
     ``budget`` caps the number of derivation steps.  On success the
-    formula is evaluated against the surgery oracle on ``verify_models``
+    formula is evaluated against the surgery oracle on ``VERIFY_MODELS``
     random models and must agree exactly.
     """
     if budget < 1:
@@ -604,12 +610,12 @@ def identify(query: Query, budget: int = DEFAULT_BUDGET,
     replay = _Replayer(g, root)
     replay.run(got[1], ())
     formula = tidy(replay.root)
-    _verify(query, formula, verify_models)
+    _verify(query, formula)
     return IdentificationResult(IDENTIFIED, formula,
                                 tuple(replay.steps), got[0])
 
 
-def _verify(query: Query, formula: Expr, n_models: int) -> None:
+def _verify(query: Query, formula: Expr) -> None:
     if not is_do_free(formula):
         raise EngineInvariantError("search returned a formula with "
                                    "interventions left")
@@ -619,19 +625,34 @@ def _verify(query: Query, formula: Expr, n_models: int) -> None:
     if latent_refs:
         raise EngineInvariantError(
             f"formula mentions latent variables {sorted(latent_refs)}")
-    for seed in range(1, n_models + 1):
+    for seed in range(1, VERIFY_MODELS + 1):
         m = random_model(g, random.Random(seed))
-        xdoms = [m.domains[x] for x in query.treatment]
-        for xv in product(*xdoms):
-            do = dict(zip(query.treatment, xv))
-            oracle = m.do_marginal(do, query.outcome)
-            ydoms = [m.domains[y] for y in query.outcome]
-            for yv in product(*ydoms):
-                binding = dict(do)
-                binding.update(zip(query.outcome, yv))
-                got = evaluate(formula, m, binding)
-                want = oracle.p(dict(zip(query.outcome, yv)))
-                if got != want:
-                    raise EngineInvariantError(
-                        f"formula disagrees with the surgery oracle at "
-                        f"{binding!r}: {got} != {want}")
+        bad = oracle_disagreement(formula, m, query.treatment,
+                                  query.outcome)
+        if bad is not None:
+            binding, got, want = bad
+            raise EngineInvariantError(
+                f"formula disagrees with the surgery oracle at "
+                f"{binding!r}: {got} != {want}")
+
+
+def oracle_disagreement(formula: Expr, model, treatment, outcome):
+    """First ``(binding, formula value, oracle value)`` at which
+    ``formula`` differs from p(outcome | do(treatment)) on ``model``, or
+    None when they agree everywhere.
+
+    The oracle is graph surgery (``do_marginal``); its table is built
+    once per do-assignment and read for every outcome value.
+    """
+    ydoms = [model.domains[y] for y in outcome]
+    for xv in product(*[model.domains[x] for x in treatment]):
+        do = dict(zip(treatment, xv))
+        oracle = model.do_marginal(do, outcome)
+        for yv in product(*ydoms):
+            y = dict(zip(outcome, yv))
+            binding = {**do, **y}
+            got = evaluate(formula, model, binding)
+            want = oracle.p(y)
+            if got != want:
+                return binding, got, want
+    return None

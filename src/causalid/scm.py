@@ -10,9 +10,9 @@ every identification formula is verified against.
 ``joint`` and ``truncated`` share one depth-first product: cells that
 agree on a prefix of the topological order share its product, computed
 once, and a zero entry drops the prefix with all its extensions.
-``JointDistribution.p`` sums its table onto each queried set of
-variables once and answers later queries on that set by lookup, so a
-table's ``probs`` is read-only after construction.
+``JointDistribution.p`` and ``marginal`` sum a table onto each queried
+set of variables once and answer later queries on that set by lookup,
+so a table's ``probs`` is read-only after construction.
 
 Probabilities are ``fractions.Fraction`` by default so correctness
 checks are exact equalities.  A float mode (``DiscreteModel.to_float``)
@@ -36,6 +36,9 @@ from .graph import CausalGraph, GraphError, ScaleError
 # Joint tables are materialized only up to this many cells; beyond that,
 # operations refuse rather than silently approximate.
 CELL_BUDGET = 2 ** 20
+
+# random_model draws each conditional row from integer weights 1..MAX_WEIGHT
+MAX_WEIGHT = 9
 
 Value = object  # domain values are opaque hashables (str in the DSL)
 
@@ -172,19 +175,14 @@ class JointDistribution:
             out.append(idx[n])
         return out
 
-    def _kept(self, names: Iterable[str]) -> list[int]:
+    def _kept(self, names: Iterable[str]) -> tuple[int, ...]:
         """Positions of ``names`` in table order; unknown names raise."""
-        named = set(self._positions(names))
-        return [i for i in range(len(self.variables)) if i in named]
+        return tuple(sorted(set(self._positions(names))))
 
-    def p(self, assignment: Mapping[str, Value]):
-        """Probability of a (possibly partial) assignment.
-
-        The first query over a set of variables sums ``probs`` onto it in
-        one pass, each key in ``probs`` order from ``Fraction(0)`` as a
-        scan would; later queries over the same set are lookups.
-        """
-        pos = tuple(sorted(self._positions(assignment)))
+    def _summed(self, pos: tuple[int, ...]) -> dict[tuple, object]:
+        """``probs`` summed onto the sorted positions ``pos``: one pass on
+        the first call for a set, each key in ``probs`` order from
+        ``Fraction(0)`` as a scan would; later calls are lookups."""
         sums = self._sums.get(pos)
         if sums is None:
             key = _projector(pos)
@@ -194,19 +192,19 @@ class JointDistribution:
                 k = key(cell)
                 sums[k] = sums.get(k, zero) + pr
             self._sums[pos] = sums
-        return sums.get(tuple(assignment[self.variables[i]] for i in pos),
-                        Fraction(0))
+        return sums
+
+    def p(self, assignment: Mapping[str, Value]):
+        """Probability of a (possibly partial) assignment."""
+        pos = self._kept(assignment)
+        return self._summed(pos).get(
+            tuple(assignment[self.variables[i]] for i in pos), Fraction(0))
 
     def marginal(self, names: Iterable[str]) -> JointDistribution:
         pos = self._kept(names)
-        key = _projector(pos)
-        acc: dict[tuple, object] = {}
-        for cell, pr in self.probs.items():
-            k = key(cell)
-            acc[k] = acc.get(k, 0) + pr
         return JointDistribution([self.variables[i] for i in pos],
-                                 [self.domains[i] for i in pos], acc,
-                                 _validate=False)
+                                 [self.domains[i] for i in pos],
+                                 self._summed(pos), _validate=False)
 
     def conditional(self, names: Iterable[str],
                     given: Mapping[str, Value]) -> JointDistribution:
@@ -390,15 +388,13 @@ class DiscreteModel:
     @classmethod
     def from_tables(cls, graph: CausalGraph,
                     domains: Mapping[str, Sequence],
-                    tables: Mapping[str, Mapping[tuple, Sequence]],
-                    parent_order: Mapping[str, Sequence[str]] | None = None
+                    tables: Mapping[str, Mapping[tuple, Sequence]]
                     ) -> DiscreteModel:
-        """Build from raw row dictionaries; parent order defaults to
+        """Build from raw row dictionaries keyed by parent values in
         declaration order."""
         mechs = {}
         for n in graph.names:
-            ps = tuple((parent_order or {}).get(n) or
-                       graph.ordered(graph.parents(n)))
+            ps = graph.ordered(graph.parents(n))
             rows = {tuple(k) if isinstance(k, tuple) else (k,) if k != ()
                     else (): tuple(v) for k, v in tables[n].items()}
             norm = {k: _check_row(v, f"mechanism for {n!r}, row {k!r}")
@@ -584,12 +580,11 @@ def graft_coin(model: DiscreteModel, treatment: str,
 
 
 def random_model(graph: CausalGraph, rng: random.Random,
-                 cards: Sequence[int] = (2,),
-                 max_weight: int = 9) -> DiscreteModel:
+                 cards: Sequence[int] = (2,)) -> DiscreteModel:
     """Random strictly positive rational model over a graph.
 
     Every conditional row is drawn from integer weights in
-    [1, max_weight], so all events have positive probability and all
+    [1, MAX_WEIGHT], so all events have positive probability and all
     arithmetic stays exact.
     """
     domains = {n: tuple(range(rng.choice(list(cards))))
@@ -599,7 +594,7 @@ def random_model(graph: CausalGraph, rng: random.Random,
         ps = graph.ordered(graph.parents(n))
         table = {}
         for pa in product(*[domains[p] for p in ps]):
-            w = [rng.randint(1, max_weight) for _ in domains[n]]
+            w = [rng.randint(1, MAX_WEIGHT) for _ in domains[n]]
             s = sum(w)
             table[pa] = tuple(Fraction(x, s) for x in w)
         mechs[n] = Mechanism(n, ps, table)

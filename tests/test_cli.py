@@ -1,8 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from causalid import DiscreteModel
 from causalid.cli import main
+
+DEMO = Path(__file__).resolve().parent.parent / "demo"
 
 LOYALTY = """\
 var U latent
@@ -272,3 +276,34 @@ def test_identical_runs_are_byte_identical(files, capsys):
     b = run(capsys, "identify", files["frontdoor.graph"],
             "--x", "X", "--y", "Y", "--json")
     assert a == b
+
+
+def test_eval_builds_one_oracle_table_per_do_assignment(monkeypatch,
+                                                        capsys):
+    # each do-assignment's rows read one surgery table (and, under
+    # --do --check, one truncated-product table) built on its first row
+    calls = []
+    do_marginal = DiscreteModel.do_marginal
+    truncated = DiscreteModel.truncated
+
+    def counting_do_marginal(self, *args):
+        calls.append("do_marginal")
+        return do_marginal(self, *args)
+
+    def counting_truncated(self, *args):
+        calls.append("truncated")
+        return truncated(self, *args)
+
+    monkeypatch.setattr(DiscreteModel, "do_marginal", counting_do_marginal)
+    monkeypatch.setattr(DiscreteModel, "truncated", counting_truncated)
+    model = str(DEMO / "frontdoor.model")
+    code, out, _ = run(capsys, "eval", model, "--do", "X=1", "--target",
+                       "Y", "--check")
+    assert code == 0 and out.count("check-diff: 0\n") == 2
+    assert sorted(calls) == ["do_marginal", "truncated"]
+    calls.clear()
+    code, out, _ = run(capsys, "eval", model, "--formula",
+                       "sum_Z p(Z|X) sum_X' p(Y|X',Z) p(X')", "--do", "X",
+                       "--target", "Y", "--check")
+    assert code == 0 and out.count("check-diff: 0\n") == 4
+    assert calls == ["do_marginal"] * 2

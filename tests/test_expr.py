@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -14,9 +16,12 @@ from causalid import (CausalGraph, DerivationStep, DiscreteModel, ExprError,
 from causalid.expr import (free_variables, fresh_name, name_from_text,
                            name_to_text, tidy, validate)
 
+from causalid.dsl import parse_model
+
 from conftest import binary_confounder_model, random_dag
 
 GOLD = Path(__file__).parent / "golden"
+DEMO = Path(__file__).resolve().parent.parent / "demo"
 
 
 def gold(name: str) -> str:
@@ -295,3 +300,29 @@ def test_guard_render():
     assert g.render() == "(Y _||_ X | Z) in G[in-cut:X,Z]"
     g2 = GuardFact(("Y",), ("Z",), (), (), ())
     assert g2.render() == "(Y _||_ Z | ) in G"
+
+
+def test_evaluate_leaves_no_cycle_behind(monkeypatch):
+    # with the cyclic collector off, dropping the model frees it and
+    # every joint that evaluate built: nothing forms a reference cycle
+    built = []
+    joint = DiscreteModel.joint
+
+    def recording_joint(self):
+        jd = joint(self)
+        built.append((weakref.ref(self), weakref.ref(jd)))
+        return jd
+
+    monkeypatch.setattr(DiscreteModel, "joint", recording_joint)
+    gc.collect()
+    gc.disable()
+    try:
+        m = parse_model((DEMO / "frontdoor.model").read_text())
+        built.append((weakref.ref(m),))
+        assert evaluate(parse("p(Y|do(X))"), m,
+                        {"X": "1", "Y": "1"}) == F(173, 300)
+        del m
+        assert len(built) == 2
+        assert all(r() is None for refs in built for r in refs)
+    finally:
+        gc.enable()

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from causalid import (IDENTIFIED, KNOWN_NON_IDENTIFIABLE,
-                      NOT_WITHIN_BUDGET, CausalGraph, GraphError, Query,
+                      NOT_WITHIN_BUDGET, CausalGraph, GraphError, P, Query,
                       backdoor_admissible, backdoor_formula, catalog,
                       evaluate, find_backdoor_sets, frontdoor_admissible,
                       frontdoor_formula, get_entry, identify,
@@ -18,7 +18,7 @@ from causalid import (IDENTIFIED, KNOWN_NON_IDENTIFIABLE,
 from causalid.dsl import parse_graph
 from causalid.expr import alpha_equal
 from causalid.identify import (_role_isomorphic, _Searcher,
-                               find_frontdoor_sets)
+                               find_frontdoor_sets, oracle_disagreement)
 
 from conftest import random_dag
 
@@ -429,3 +429,22 @@ def test_rct_coin_expectation():
 
 def test_pricing_marked_non_identifiable():
     assert get_entry("pricing").expectation.kind == "non-identifiable"
+
+
+def test_oracle_disagreement_finds_the_first_bad_binding(frontdoor_graph):
+    m = random_model(frontdoor_graph, random.Random(1))
+    X, Y = ("X",), ("Y",)
+    assert oracle_disagreement(frontdoor_formula(X, Y, ("Z",)), m,
+                               X, Y) is None
+    # p(Y|X) is confounded by U: the first binding, in treatment-major
+    # order, where it differs from the surgery oracle is reported
+    see = P("Y", given="X")
+    want = None
+    for x, y in product(m.domains["X"], m.domains["Y"]):
+        b = {"X": x, "Y": y}
+        oracle = m.do_marginal({"X": x}, Y).p({"Y": y})
+        if evaluate(see, m, b) != oracle:
+            want = (b, evaluate(see, m, b), oracle)
+            break
+    assert want is not None
+    assert oracle_disagreement(see, m, X, Y) == want

@@ -1,16 +1,17 @@
 import random
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from causalid import (CausalGraph, DiscreteModel, GraphError, Mechanism,
-                      ModelError, PositivityError, ScaleError,
-                      StructuralEquationSpec, compile_mechanism, fit,
-                      graft_coin, independent, random_model)
+from causalid import (CausalGraph, DiscreteModel, GraphError,
+                      JointDistribution, Mechanism, ModelError,
+                      PositivityError, ScaleError, StructuralEquationSpec,
+                      compile_mechanism, fit, graft_coin, independent,
+                      random_model)
 from causalid.dsl import parse_model
 from conftest import binary_confounder_model, random_dag
 
@@ -533,3 +534,37 @@ def test_total_variation_needs_same_variables():
     assert j.total_variation(j) == 0
     with pytest.raises(GraphError, match="same variables"):
         j.total_variation(j.marginal(["X", "Y"]))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_marginal_equals_brute_force_sum(seed):
+    # random sparse tables over 4 variables, exact and float entries
+    rng = random.Random(seed)
+    names = ["A", "B", "C", "D"]
+    doms = [tuple(range(rng.randint(2, 3))) for _ in names]
+    cells = [c for c in product(*doms) if rng.random() < 0.7]
+    weights = [rng.randint(1, 9) for _ in cells]
+    exact = {c: F(w, sum(weights)) for c, w in zip(cells, weights)}
+    floats = {c: float(p) for c, p in exact.items()}
+    for probs, kind in ((exact, F), (floats, float)):
+        j = JointDistribution(names, doms, probs, _validate=False)
+        for r in range(len(names) + 1):
+            for keep in combinations(names, r):
+                pos = [names.index(n) for n in keep]
+                want = {}
+                for cell, pr in probs.items():
+                    k = tuple(cell[i] for i in pos)
+                    want[k] = want.get(k, 0) + pr
+                got = j.marginal(reversed(keep))
+                assert got.variables == keep
+                assert got.probs == want
+                assert all(isinstance(v, kind) for v in got.probs.values())
+
+
+def test_p_and_marginal_share_one_scan():
+    j = parse_model((DEMO / "frontdoor.model").read_text()).joint()
+    j.probs = _CountingDict(j.probs)
+    assert j.p({"Y": "1", "X": "0"}) == j.marginal(["X", "Y"]).p(
+        {"X": "0", "Y": "1"})
+    assert j.marginal(["Y", "X"]).probs == j.marginal(["X", "Y"]).probs
+    assert j.probs.scans == 1

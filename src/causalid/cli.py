@@ -94,6 +94,8 @@ def _status_line(res) -> str:
 
 
 def cmd_identify(args) -> int:
+    if args.budget < 1:
+        raise _Failure(2, "--budget must be at least 1")
     g = parse_graph(_read(args.graph))
     X, Y = _names(args.x), _names(args.y)
     query = Query(g, X, Y)
@@ -153,6 +155,8 @@ def cmd_eval(args) -> int:
     targets = _names(args.target)
     for n in targets:
         g.index(n)
+    if set(targets) & (set(fixed) | set(free_do)):
+        raise _Failure(2, "--target and --do must be disjoint")
 
     formula = None
     if args.formula:

@@ -180,19 +180,24 @@ def used_names(e: Expr) -> frozenset[str]:
     out = set()
     for t in walk_terms(e):
         out.update(t.targets + t.given + t.do)
-
-    def binders(x):
-        if isinstance(x, Sum):
-            out.update(x.bound)
-            binders(x.body)
-        elif isinstance(x, Product):
-            for f in x.factors:
-                binders(f)
-        elif isinstance(x, Quotient):
-            binders(x.num)
-            binders(x.den)
-    binders(e)
+    _add_binders(e, out)
     return frozenset(out)
+
+
+# Recursive walks here are module-level functions, never self-calling
+# closures: such a closure is a reference cycle that lives, with all it
+# refers to, until the cyclic garbage collector runs.
+
+def _add_binders(x: Expr, out: set) -> None:
+    if isinstance(x, Sum):
+        out.update(x.bound)
+        _add_binders(x.body, out)
+    elif isinstance(x, Product):
+        for f in x.factors:
+            _add_binders(f, out)
+    elif isinstance(x, Quotient):
+        _add_binders(x.num, out)
+        _add_binders(x.den, out)
 
 
 def validate(e: Expr, _scope: frozenset[str] = frozenset()) -> None:
@@ -237,53 +242,55 @@ def _needs_parens(f: Expr, last_in_product: bool) -> bool:
     return True  # nested products and quotients always grouped
 
 
+def _wrap(s: str, latex: bool) -> str:
+    return (r"\left(" + s + r"\right)") if latex else f"({s})"
+
+
+def _render(x: Expr, latex: bool) -> str:
+    if isinstance(x, ProbTerm):
+        return _render_term(x, latex)
+    if isinstance(x, Sum):
+        if latex:
+            head = r"\sum_{" + ",".join(name_to_text(b)
+                                        for b in x.bound) + "} "
+        elif len(x.bound) == 1:
+            head = f"sum_{name_to_text(x.bound[0])} "
+        else:
+            head = "sum_{" + ",".join(name_to_text(b)
+                                      for b in x.bound) + "} "
+        body = _render(x.body, latex)
+        if isinstance(x.body, Quotient):
+            body = _wrap(body, latex)
+        return head + body
+    if isinstance(x, Product):
+        out = []
+        for i, f in enumerate(x.factors):
+            s = _render(f, latex)
+            if _needs_parens(f, i == len(x.factors) - 1):
+                s = _wrap(s, latex)
+            out.append(s)
+        return (r" \: " if latex else " ").join(out)
+    if isinstance(x, Quotient):
+        if latex:
+            return (r"\frac{" + _render(x.num, latex) + "}{"
+                    + _render(x.den, latex) + "}")
+        num, den = _render(x.num, latex), _render(x.den, latex)
+        if not isinstance(x.num, ProbTerm):
+            num = _wrap(num, latex)
+        if not isinstance(x.den, ProbTerm):
+            den = _wrap(den, latex)
+        return f"{num} / {den}"
+    raise ExprError(f"not an expression: {x!r}")
+
+
 def render(e: Expr, format: str = "text") -> str:
     """Deterministic rendering; the text format round-trips through
     ``parse``."""
     latex = format == "latex"
     if format not in ("text", "latex"):
         raise ExprError(f"unknown format {format!r}")
-
-    def wrap(s: str) -> str:
-        return (r"\left(" + s + r"\right)") if latex else f"({s})"
-
-    def go(x: Expr) -> str:
-        if isinstance(x, ProbTerm):
-            return _render_term(x, latex)
-        if isinstance(x, Sum):
-            if latex:
-                head = r"\sum_{" + ",".join(name_to_text(b)
-                                            for b in x.bound) + "} "
-            elif len(x.bound) == 1:
-                head = f"sum_{name_to_text(x.bound[0])} "
-            else:
-                head = "sum_{" + ",".join(name_to_text(b)
-                                          for b in x.bound) + "} "
-            body = go(x.body)
-            if isinstance(x.body, Quotient):
-                body = wrap(body)
-            return head + body
-        if isinstance(x, Product):
-            out = []
-            for i, f in enumerate(x.factors):
-                s = go(f)
-                if _needs_parens(f, i == len(x.factors) - 1):
-                    s = wrap(s)
-                out.append(s)
-            return (r" \: " if latex else " ").join(out)
-        if isinstance(x, Quotient):
-            if latex:
-                return r"\frac{" + go(x.num) + "}{" + go(x.den) + "}"
-            num, den = go(x.num), go(x.den)
-            if not isinstance(x.num, ProbTerm):
-                num = wrap(num)
-            if not isinstance(x.den, ProbTerm):
-                den = wrap(den)
-            return f"{num} / {den}"
-        raise ExprError(f"not an expression: {x!r}")
-
     validate(e)
-    return go(e)
+    return _render(e, latex)
 
 
 # -- parsing -----------------------------------------------------------
@@ -460,50 +467,49 @@ def canonicalize(e: Expr) -> Expr:
     factors structurally, and alpha-rename bound variables in order of
     appearance.  Evaluation is invariant under canonicalization."""
     validate(e)
-    e = _flatten(e)
-
-    def sort_structure(x: Expr) -> Expr:
-        if isinstance(x, ProbTerm):
-            return x
-        if isinstance(x, Sum):
-            bound = tuple(sorted(x.bound,
-                                 key=lambda b: (base_name(b),)))
-            return Sum(bound, sort_structure(x.body))
-        if isinstance(x, Product):
-            fs = [sort_structure(f) for f in x.factors]
-            fs.sort(key=lambda f: _skeleton_key(f, {}))
-            return Product(tuple(fs))
-        return Quotient(sort_structure(x.num), sort_structure(x.den))
-
-    e = sort_structure(e)
-
-    free_bases = {}
+    e = _sort_structure(_flatten(e))
+    counters = {}
     for n in free_variables(e):
         b, k = split_name(n)
-        free_bases[b] = max(free_bases.get(b, 0), k)
-    counters = dict(free_bases)
+        counters[b] = max(counters.get(b, 0), k)
+    return _rename(e, {}, counters)
 
-    def rename(x: Expr, env: Mapping[str, str]) -> Expr:
-        if isinstance(x, ProbTerm):
-            return ProbTerm(tuple(env.get(n, n) for n in x.targets),
-                            tuple(env.get(n, n) for n in x.given),
-                            tuple(env.get(n, n) for n in x.do))
-        if isinstance(x, Sum):
-            env2 = dict(env)
-            fresh = []
-            for b in x.bound:
-                base = base_name(b)
-                counters[base] = counters.get(base, 0) + 1
-                nb = f"{base}__{counters[base]}"
-                env2[b] = nb
-                fresh.append(nb)
-            return Sum(tuple(sorted(fresh, key=_name_key)),
-                       rename(x.body, env2))
-        if isinstance(x, Product):
-            return Product(tuple(rename(f, env) for f in x.factors))
-        return Quotient(rename(x.num, env), rename(x.den, env))
 
-    return rename(e, {})
+def _sort_structure(x: Expr) -> Expr:
+    if isinstance(x, ProbTerm):
+        return x
+    if isinstance(x, Sum):
+        bound = tuple(sorted(x.bound, key=lambda b: (base_name(b),)))
+        return Sum(bound, _sort_structure(x.body))
+    if isinstance(x, Product):
+        fs = [_sort_structure(f) for f in x.factors]
+        fs.sort(key=lambda f: _skeleton_key(f, {}))
+        return Product(tuple(fs))
+    return Quotient(_sort_structure(x.num), _sort_structure(x.den))
+
+
+def _rename(x: Expr, env: Mapping[str, str], counters: dict) -> Expr:
+    """Alpha-rename bound variables to ``base__k``, numbering each base
+    on from ``counters`` in order of appearance."""
+    if isinstance(x, ProbTerm):
+        return ProbTerm(tuple(env.get(n, n) for n in x.targets),
+                        tuple(env.get(n, n) for n in x.given),
+                        tuple(env.get(n, n) for n in x.do))
+    if isinstance(x, Sum):
+        env2 = dict(env)
+        fresh = []
+        for b in x.bound:
+            base = base_name(b)
+            counters[base] = counters.get(base, 0) + 1
+            nb = f"{base}__{counters[base]}"
+            env2[b] = nb
+            fresh.append(nb)
+        return Sum(tuple(sorted(fresh, key=_name_key)),
+                   _rename(x.body, env2, counters))
+    if isinstance(x, Product):
+        return Product(tuple(_rename(f, env, counters) for f in x.factors))
+    return Quotient(_rename(x.num, env, counters),
+                    _rename(x.den, env, counters))
 
 
 def tidy(e: Expr) -> Expr:

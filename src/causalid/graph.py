@@ -301,23 +301,7 @@ class CausalGraph:
             raise ScaleError(
                 f"path enumeration limited to {PATH_ENUM_GUARD} nodes "
                 f"(graph has {len(self.names)})")
-
-        def neighbors(v: str) -> list[tuple[str, bool]]:
-            fwd = [(w, True) for w in self.ordered(self._children[v])]
-            bwd = [(w, False) for w in self.ordered(self._parents[v])]
-            return fwd + bwd
-
-        def walk(v, nodes, dirs):
-            for w, forward in neighbors(v):
-                if w in nodes:
-                    continue
-                nd, dd = nodes + (w,), dirs + (forward,)
-                if w == b:
-                    yield Path(nd, dd)
-                else:
-                    yield from walk(w, nd, dd)
-
-        yield from walk(a, (a,), ())
+        yield from _paths_on(self, b, (a,), ())
 
     def confounding_arcs(self) -> tuple[Path, ...]:
         """Collider-free paths joining two observed nodes through latent
@@ -355,6 +339,23 @@ class CausalGraph:
     def __repr__(self) -> str:
         es = ", ".join(f"{t}->{h}" for t, h in self.edges)
         return f"CausalGraph({'.'.join(self.names)}; {es})"
+
+
+def _paths_on(g: CausalGraph, b: str, nodes: tuple, dirs: tuple):
+    """Paths to ``b`` extending the partial path ``nodes``, children
+    before parents, each in declaration order.  A module-level function,
+    not a self-calling closure, so a walk leaves no reference cycle."""
+    v = nodes[-1]
+    steps = ([(w, True) for w in g.ordered(g._children[v])]
+             + [(w, False) for w in g.ordered(g._parents[v])])
+    for w, forward in steps:
+        if w in nodes:
+            continue
+        nd, dd = nodes + (w,), dirs + (forward,)
+        if w == b:
+            yield Path(nd, dd)
+        else:
+            yield from _paths_on(g, b, nd, dd)
 
 
 @dataclass(frozen=True)

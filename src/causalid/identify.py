@@ -6,11 +6,13 @@ rewrite derivation.  Three layers:
 
 * admissibility tests and formula builders for the back-door and
   front-door criteria;
-* the three guarded rewrite rules of the do-calculus, each checking its
-  d-separation condition on the prescribed surgically modified graph;
+* the three guarded rewrite rules of the do-calculus: one table
+  (``_cuts``) states the surgery each rule prescribes, and every rule
+  asks the same d-separation question on its cut graph;
 * a budget-bounded search over rewrites (rules, marginalization
   insertion, chain splits, plus back-door/front-door closures as canned
-  step sequences) with canonical-state memoization.
+  step sequences) with canonical-state memoization.  Every move has one
+  shape, ``(own cost, plan builder, sub-states)``.
 
 The search runs its d-separation guards on the full graph including
 latent nodes, but only observed variables ever enter a formula.  A
@@ -26,12 +28,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, permutations, product
 
 from .dsep import d_separated
 from .expr import (DerivationStep, Expr, GuardFact, P, ProbTerm, Product,
-                   Quotient, Sum, base_name, evaluate, fresh_name,
-                   is_do_free, tidy, used_names)
+                   Sum, base_name, evaluate, fresh_name, is_do_free, tidy,
+                   used_names)
 from .graph import CausalGraph, GraphError
 from .scm import random_model
 
@@ -136,17 +139,9 @@ def frontdoor_admissible(g: CausalGraph, X, Y, Z) -> bool:
                          f"{sorted(latent)}")
     if zs & (xs | ys):
         raise GraphError("mediator set overlaps treatment or outcome")
-    # 1. no directed path X -> ... -> Y avoiding Z
-    reach = set(xs)
-    frontier = list(xs)
-    while frontier:
-        v = frontier.pop()
-        for c in g.children(v):
-            if c in zs or c in reach:
-                continue
-            reach.add(c)
-            frontier.append(c)
-    if reach & ys:
+    # 1. no directed path X -> ... -> Y avoiding Z (a node in both X and
+    # Y is such a path of length zero)
+    if (xs | g.mutilate(cut_outgoing=zs).descendants(xs)) & ys:
         return False
     # 2. every back path X..Z blocked by nothing at all
     if not d_separated(g.mutilate(cut_outgoing=xs), xs, zs, ()):
@@ -209,11 +204,32 @@ def _rule_sets(g: CausalGraph, X, Y, Z, W):
     return xs, ys, zs, ws
 
 
+def _cuts(rule: str, g: CausalGraph, xs, zs, ws):
+    """The surgery that licenses each do-calculus rule, as
+    ``(cut_incoming, cut_outgoing)``: rule 1 cuts edges into X, rule 2
+    also cuts edges out of Z, and rule 3 cuts edges into X and into
+    z-hat, the Z-nodes that are not ancestors of W once edges into X are
+    cut.  Every rule then asks whether Y and Z are separated by X u W."""
+    if rule == "rule1":
+        return xs, frozenset()
+    if rule == "rule2":
+        return xs, zs
+    return xs | g.z_hat(xs, zs, ws), frozenset()
+
+
+def _guard(rule: str, g: CausalGraph, xs, ys, zs, ws) -> GuardFact:
+    """The separation licensing ``rule``, as the derivation records it."""
+    ci, co = _cuts(rule, g, xs, zs, ws)
+    return GuardFact(g.ordered(ys), g.ordered(zs), g.ordered(xs | ws),
+                     g.ordered(ci), g.ordered(co))
+
+
 def rule1_applicable(g: CausalGraph, X, Y, Z, W) -> bool:
     """May the observation z be dropped from p(y|do(x),z,w)?  Guard: Y and
     Z separated by X u W once edges into X are cut."""
     xs, ys, zs, ws = _rule_sets(g, X, Y, Z, W)
-    return d_separated(g.mutilate(cut_incoming=xs), ys, zs, xs | ws)
+    cut = g.mutilate(*_cuts("rule1", g, xs, zs, ws))
+    return d_separated(cut, ys, zs, xs | ws)
 
 
 def rule2_applicable(g: CausalGraph, X, Y, Z, W) -> bool:
@@ -221,8 +237,8 @@ def rule2_applicable(g: CausalGraph, X, Y, Z, W) -> bool:
     p(y|do(x),do(z),w)?  Guard: Y and Z separated by X u W once edges
     into X and out of Z are cut."""
     xs, ys, zs, ws = _rule_sets(g, X, Y, Z, W)
-    return d_separated(g.mutilate(cut_incoming=xs, cut_outgoing=zs),
-                       ys, zs, xs | ws)
+    cut = g.mutilate(*_cuts("rule2", g, xs, zs, ws))
+    return d_separated(cut, ys, zs, xs | ws)
 
 
 def rule3_applicable(g: CausalGraph, X, Y, Z, W) -> bool:
@@ -230,24 +246,8 @@ def rule3_applicable(g: CausalGraph, X, Y, Z, W) -> bool:
     Guard: Y and Z separated by X u W once edges into X and into the
     Z-nodes that are not ancestors of W (in the X-cut graph) are cut."""
     xs, ys, zs, ws = _rule_sets(g, X, Y, Z, W)
-    zh = g.z_hat(xs, zs, ws)
-    return d_separated(g.mutilate(cut_incoming=xs | zh), ys, zs, xs | ws)
-
-
-def _rule1_guard(g, xs, ys, zs, ws) -> GuardFact:
-    return GuardFact(g.ordered(ys), g.ordered(zs), g.ordered(xs | ws),
-                     g.ordered(xs), ())
-
-
-def _rule2_guard(g, xs, ys, zs, ws) -> GuardFact:
-    return GuardFact(g.ordered(ys), g.ordered(zs), g.ordered(xs | ws),
-                     g.ordered(xs), g.ordered(zs))
-
-
-def _rule3_guard(g, xs, ys, zs, ws) -> GuardFact:
-    zh = g.z_hat(xs, zs, ws)
-    return GuardFact(g.ordered(ys), g.ordered(zs), g.ordered(xs | ws),
-                     g.ordered(xs | zh), ())
+    cut = g.mutilate(*_cuts("rule3", g, xs, zs, ws))
+    return d_separated(cut, ys, zs, xs | ws)
 
 
 # -- search plans ---------------------------------------------------------
@@ -345,31 +345,21 @@ class _Searcher:
         return best
 
     def _try(self, move, cap: int):
-        kind = move[0]
-        if kind == "closure":
-            plan = move[1]
-            cost = _plan_cost(plan)
-            return (cost, plan) if cost <= cap else None
-        if kind == "rule":
-            _, tag, guard, after = move
-            sub = self.solve(after, cap - 1)
-            if sub is None:
-                return None
-            return 1 + sub[0], _Rule(tag, guard, after, sub[1])
-        if kind == "marg":
-            _, added, inner = move
-            sub = self.solve(inner, cap - 1)
-            if sub is None:
-                return None
-            return 1 + sub[0], _Marg(added, sub[1])
-        _, split, first, second = move
-        sub1 = self.solve(first, cap - 1)
-        if sub1 is None:
+        """Cost and plan of one move within ``cap``, or None.  A move is
+        ``(own cost, builder, sub-states)``: its sub-states are solved
+        left to right within what the cap leaves, and the builder makes
+        the plan from their sub-plans."""
+        cost, build, subs = move
+        if cost > cap:
             return None
-        sub2 = self.solve(second, cap - 1 - sub1[0])
-        if sub2 is None:
-            return None
-        return 1 + sub1[0] + sub2[0], _Chain(split, sub1[1], sub2[1])
+        plans = []
+        for sub in subs:
+            got = self.solve(sub, cap - cost)
+            if got is None:
+                return None
+            cost += got[0]
+            plans.append(got[1])
+        return cost, build(*plans)
 
     # move generation, deterministic order
 
@@ -377,38 +367,37 @@ class _Searcher:
         g = self.g
         T, O, D = state
         if not O:
-            plan = self._backdoor_closure(T, D)
-            if plan is not None:
-                yield "closure", plan
-            plan = self._frontdoor_closure(T, D)
-            if plan is not None:
-                yield "closure", plan
+            for closure in (self._backdoor_closure, self._frontdoor_closure):
+                plan = closure(T, D)
+                if plan is not None:
+                    yield _plan_cost(plan), (lambda p=plan: p), ()
         for zs in _subsets(g, D):
             xs = D - zs
             if rule2_applicable(g, xs, T, zs, O):
-                yield ("rule", "rule2", _rule2_guard(g, xs, T, zs, O),
-                       (T, O | zs, xs))
+                yield self._rule("rule2", xs, T, zs, O, (T, O | zs, xs))
         for zs in _subsets(g, D):
             xs = D - zs
             if rule3_applicable(g, xs, T, zs, O):
-                yield ("rule", "rule3", _rule3_guard(g, xs, T, zs, O),
-                       (T, O, xs))
+                yield self._rule("rule3", xs, T, zs, O, (T, O, xs))
         for zs in _subsets(g, O):
             ws = O - zs
             if rule2_applicable(g, D, T, zs, ws):
-                yield ("rule", "rule2", _rule2_guard(g, D, T, zs, ws),
-                       (T, ws, D | zs))
+                yield self._rule("rule2", D, T, zs, ws, (T, ws, D | zs))
         for zs in _subsets(g, O):
             ws = O - zs
             if rule1_applicable(g, D, T, zs, ws):
-                yield ("rule", "rule1", _rule1_guard(g, D, T, zs, ws),
-                       (T, ws, D))
+                yield self._rule("rule1", D, T, zs, ws, (T, ws, D))
         candidates = [n for n in g.observed_names if n not in T | O | D]
         for vs in _subsets(g, candidates):
-            yield "marg", g.ordered(vs), (T | vs, O, D)
+            yield 1, partial(_Marg, g.ordered(vs)), ((T | vs, O, D),)
         for ss in _subsets(g, T, proper=True):
-            yield ("chain", g.ordered(ss),
-                   (T - ss, O | ss, D), (ss, O, D))
+            yield (1, partial(_Chain, g.ordered(ss)),
+                   ((T - ss, O | ss, D), (ss, O, D)))
+
+    def _rule(self, tag, xs, ys, zs, ws, after: State):
+        """One guarded rule step, then the state it leads to."""
+        guard = _guard(tag, self.g, xs, ys, zs, ws)
+        return 1, partial(_Rule, tag, guard, after), (after,)
 
     # canned closures: the canonical adjustment derivations as fixed
     # primitive-step plans, offered only when every licensing guard holds
@@ -419,12 +408,12 @@ class _Searcher:
         if not sets:
             return None
         zs = sets[0]
-        exchange = _rule2_guard(g, frozenset(), T, D, zs)
+        exchange = _guard("rule2", g, frozenset(), T, D, zs)
         if not exchange.verify(g):
             return None
         if not zs:
             return _Rule("rule2", exchange, (T, D, frozenset()), _Done())
-        drop = _rule3_guard(g, frozenset(), zs, D, frozenset())
+        drop = _guard("rule3", g, frozenset(), zs, D, frozenset())
         if not drop.verify(g):
             return None
         return _Marg(g.ordered(zs), _Chain(
@@ -439,11 +428,11 @@ class _Searcher:
         if not sets:
             return None
         zs = sets[0]
-        g1 = _rule2_guard(g, frozenset(), zs, D, frozenset())
-        g2 = _rule2_guard(g, D, T, zs, frozenset())
-        g3 = _rule3_guard(g, zs, T, D, frozenset())
-        g4 = _rule3_guard(g, frozenset(), D, zs, frozenset())
-        g5 = _rule2_guard(g, frozenset(), T, zs, D)
+        g1 = _guard("rule2", g, frozenset(), zs, D, frozenset())
+        g2 = _guard("rule2", g, D, T, zs, frozenset())
+        g3 = _guard("rule3", g, zs, T, D, frozenset())
+        g4 = _guard("rule3", g, frozenset(), D, zs, frozenset())
+        g5 = _guard("rule2", g, frozenset(), T, zs, D)
         if not all(gf.verify(g) for gf in (g1, g2, g3, g4, g5)):
             return None
         inner = _Marg(g.ordered(D), _Chain(
@@ -464,10 +453,6 @@ def _at(e: Expr, path: tuple):
     for step in path:
         if step == "sum":
             e = e.body
-        elif step == "num":
-            e = e.num
-        elif step == "den":
-            e = e.den
         else:
             e = e.factors[step[1]]
     return e
@@ -479,10 +464,6 @@ def _replace(e: Expr, path: tuple, new: Expr) -> Expr:
     head, rest = path[0], path[1:]
     if head == "sum":
         return Sum(e.bound, _replace(e.body, rest, new))
-    if head == "num":
-        return Quotient(_replace(e.num, rest, new), e.den)
-    if head == "den":
-        return Quotient(e.num, _replace(e.den, rest, new))
     i = head[1]
     factors = list(e.factors)
     factors[i] = _replace(factors[i], rest, new)

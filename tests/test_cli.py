@@ -307,3 +307,21 @@ def test_eval_builds_one_oracle_table_per_do_assignment(monkeypatch,
                        "--target", "Y", "--check")
     assert code == 0 and out.count("check-diff: 0\n") == 4
     assert calls == ["do_marginal"] * 2
+
+
+# -- usage errors caught before any work ----------------------------------------
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_identify_budget_below_one_is_usage_error(files, capsys, budget):
+    code, out, err = run(capsys, "identify", files["frontdoor.graph"],
+                         "--x", "X", "--y", "Y", "--budget", budget)
+    assert code == 2 and out == ""
+    assert err == "error: --budget must be at least 1\n"
+
+
+@pytest.mark.parametrize("do", ["X=1", "X"])
+def test_eval_target_repeating_do_is_usage_error(capsys, do):
+    code, out, err = run(capsys, "eval", str(DEMO / "frontdoor.model"),
+                         "--do", do, "--target", "X")
+    assert code == 2 and out == ""
+    assert err == "error: --target and --do must be disjoint\n"

@@ -14,7 +14,7 @@ from causalid import (CausalGraph, DerivationStep, DiscreteModel, ExprError,
                       canonicalize, evaluate, frontdoor_formula, is_do_free,
                       parse, random_model, render)
 from causalid.expr import (free_variables, fresh_name, name_from_text,
-                           name_to_text, tidy, validate)
+                           name_to_text, tidy, used_names, validate)
 
 from causalid.dsl import parse_model
 
@@ -324,5 +324,33 @@ def test_evaluate_leaves_no_cycle_behind(monkeypatch):
         del m
         assert len(built) == 2
         assert all(r() is None for refs in built for r in refs)
+    finally:
+        gc.enable()
+
+
+def _recursive_walks():
+    e = frontdoor_formula(("X",), ("Y",), ("Z",))
+    chain = CausalGraph(["X", "Z", "Y"], [("X", "Z"), ("Z", "Y")])
+    return {
+        "render": lambda: render(e, "latex"),
+        "used_names": lambda: used_names(e),
+        "canonicalize": lambda: canonicalize(e),
+        "paths_between": lambda: list(chain.paths_between("X", "Y")),
+    }
+
+
+@pytest.mark.parametrize("name", ["render", "used_names", "canonicalize",
+                                  "paths_between"])
+def test_recursive_walks_leave_no_cycle_behind(name):
+    # with the cyclic collector off, repeated walks leave nothing that
+    # only a collection can free
+    walk = _recursive_walks()[name]
+    walk()
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            walk()
+        assert gc.collect() == 0
     finally:
         gc.enable()

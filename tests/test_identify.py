@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from causalid import (IDENTIFIED, KNOWN_NON_IDENTIFIABLE,
                       NOT_WITHIN_BUDGET, CausalGraph, GraphError, P, Query,
                       backdoor_admissible, backdoor_formula, catalog,
-                      evaluate, find_backdoor_sets, frontdoor_admissible,
-                      frontdoor_formula, get_entry, identify,
-                      random_model, render, rule1_applicable,
+                      d_separated_exhaustive, evaluate, find_backdoor_sets,
+                      frontdoor_admissible, frontdoor_formula, get_entry,
+                      identify, random_model, render, rule1_applicable,
                       rule2_applicable, rule3_applicable, run_entry,
                       unavailable)
 from causalid.dsl import parse_graph
@@ -192,6 +192,93 @@ def test_rule_guard_monotone_under_edge_addition(loyalty_graph):
                              rule3_applicable):
                     if rule(bigger, X, Y, Z, W):
                         assert rule(g, X, Y, Z, W)
+
+
+def _textbook_cut(g, into, out_of):
+    # the surgically cut graph, rebuilt from the kept edges
+    return CausalGraph(g.variables, [(t, h) for t, h in g.edges
+                                     if h not in into and t not in out_of])
+
+
+def _textbook_ancestors(g, seeds):
+    # the seeds and every node with a directed path into them
+    out = set(seeds)
+    grew = True
+    while grew:
+        grew = False
+        for t, h in g.edges:
+            if h in out and t not in out:
+                out.add(t)
+                grew = True
+    return out
+
+
+def _textbook_rule(rule, g, xs, ys, zs, ws):
+    # Pearl's guards: (Y _||_ Z | X, W) in G[bar X] for rule 1, in
+    # G[bar X, underline Z] for rule 2, and in G[bar X, bar Z(W)] for
+    # rule 3, where Z(W) is Z minus the ancestors of W in G[bar X]
+    if rule == 1:
+        cut = _textbook_cut(g, xs, ())
+    elif rule == 2:
+        cut = _textbook_cut(g, xs, zs)
+    else:
+        anc_w = _textbook_ancestors(_textbook_cut(g, xs, ()), ws)
+        cut = _textbook_cut(g, xs | (zs - anc_w), ())
+    return d_separated_exhaustive(cut, ys, zs, xs | ws)
+
+
+def _random_parts(rng, names, count, nonempty):
+    # ``count`` pairwise disjoint sets of names, the first ``nonempty``
+    # of them seeded with one name each
+    pool = list(names)
+    rng.shuffle(pool)
+    parts = [{pool.pop()} for _ in range(nonempty)]
+    parts += [set() for _ in range(count - nonempty)]
+    for n in pool:
+        k = rng.randrange(count + 1)
+        if k < count:
+            parts[k].add(n)
+    return [frozenset(p) for p in parts]
+
+
+@given(st.integers(0, 3000))
+def test_rule_guards_match_textbook_definition(seed):
+    rng = random.Random(seed)
+    g = random_dag(rng, n=rng.randint(2, 8), p=rng.uniform(0.2, 0.6),
+                   latent=0.3)
+    for _ in range(25):
+        ys, zs, xs, ws = _random_parts(rng, g.names, 4, 2)
+        for rule, applicable in ((1, rule1_applicable),
+                                 (2, rule2_applicable),
+                                 (3, rule3_applicable)):
+            assert applicable(g, xs, ys, zs, ws) == \
+                _textbook_rule(rule, g, xs, ys, zs, ws)
+
+
+def _textbook_frontdoor(g, xs, ys, zs):
+    # (1) every directed path from X to Y meets Z; (2) X and Z separated
+    # once X's outgoing edges are cut; (3) Z and Y separated given X once
+    # Z's outgoing edges are cut
+    for x in xs:
+        for y in ys:
+            for path in g.paths_between(x, y):
+                if all(path.forward) and not set(path.nodes[1:-1]) & zs:
+                    return False
+    return (d_separated_exhaustive(_textbook_cut(g, (), xs), xs, zs)
+            and d_separated_exhaustive(_textbook_cut(g, (), zs), zs, ys, xs))
+
+
+@given(st.integers(0, 3000))
+def test_frontdoor_admissible_matches_textbook_definition(seed):
+    rng = random.Random(seed)
+    g = random_dag(rng, n=rng.randint(3, 8), p=rng.uniform(0.2, 0.6),
+                   latent=0.3)
+    for _ in range(25):
+        xs, ys, zs = _random_parts(rng, g.names, 3, 3)
+        zs &= frozenset(g.observed_names)
+        if zs:
+            assert frontdoor_admissible(g, xs, ys, zs) == \
+                _textbook_frontdoor(g, xs, ys, zs)
 
 
 # -- the search ---------------------------------------------------------------

@@ -132,6 +132,9 @@ def cmd_identify(args) -> int:
 def _do_items(items):
     fixed, free = {}, []
     for item in items or []:
+        name = item.split("=", 1)[0]
+        if name in fixed or name in free:
+            raise _Failure(2, f"--do names {name!r} twice")
         if "=" in item:
             fixed.update(parse_assignment([item]))
         else:
@@ -153,8 +156,10 @@ def cmd_eval(args) -> int:
     for n in free_do:
         g.index(n)
     targets = _names(args.target)
-    for n in targets:
+    for i, n in enumerate(targets):
         g.index(n)
+        if n in targets[:i]:
+            raise _Failure(2, f"--target names {n!r} twice")
     if set(targets) & (set(fixed) | set(free_do)):
         raise _Failure(2, "--target and --do must be disjoint")
 
@@ -169,6 +174,10 @@ def cmd_eval(args) -> int:
         if args.check and not (args.do and targets):
             raise _Failure(2, "--check on a formula needs --do and "
                            "--target to name the oracle quantity")
+        absent = [t for t in targets if t not in fvars]
+        if args.check and absent:
+            raise _Failure(2, f"--check target {absent[0]!r} is not a "
+                           "free variable of the formula")
     else:
         if not targets:
             raise _Failure(2, "--do needs --target")

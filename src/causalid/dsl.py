@@ -23,8 +23,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable
 
-from .graph import CausalGraph, GraphError, Variable
-from .scm import DiscreteModel, Mechanism, ModelError
+from .graph import CausalGraph, GraphError, Variable, check_name
+from .scm import DiscreteModel, Mechanism
 
 
 class ParseError(Exception):
@@ -33,6 +33,9 @@ class ParseError(Exception):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+_ARROWS = {"edge": "->", "arc": "<->"}
 
 
 def _tokens(line: str) -> list[str]:
@@ -102,36 +105,55 @@ def parse_graph(text: str) -> CausalGraph:
 def _graph_from_directives(lines: Iterable[tuple[int, list[str]]]
                            ) -> CausalGraph:
     """Build a graph from (lineno, tokens) directive pairs, so errors
-    name the line of the source text the pairs came from."""
+    name the line of the source text the pairs came from.  Each directive
+    is checked at its own line; edge and arc endpoints are checked once
+    every ``var`` is read, since an edge may precede its variables."""
     variables: list[Variable] = []
-    edges: list[tuple[str, str]] = []
-    arcs: list[tuple[int, tuple[str, str]]] = []
+    declared: set[str] = set()
+    links: list[tuple[int, str, str, str]] = []  # (line, kind, a, b)
+    edges: set[tuple[str, str]] = set()
     for i, toks in lines:
         kind = toks[0]
         if kind == "var":
-            if len(toks) == 2:
-                variables.append(Variable(toks[1]))
-            elif len(toks) == 3 and toks[2] == "latent":
-                variables.append(Variable(toks[1], latent=True))
-            else:
+            if len(toks) < 2 or toks[2:] not in ([], ["latent"]):
                 raise ParseError(i, f"bad var directive {' '.join(toks)!r}")
-        elif kind == "edge":
-            if len(toks) != 4 or toks[2] != "->":
-                raise ParseError(i, f"bad edge directive {' '.join(toks)!r}")
-            edges.append((toks[1], toks[3]))
-        elif kind == "arc":
-            if len(toks) != 4 or toks[2] != "<->":
-                raise ParseError(i, f"bad arc directive {' '.join(toks)!r}")
-            arcs.append((i, (toks[1], toks[3])))
+            try:
+                check_name(toks[1])
+            except GraphError as exc:
+                raise ParseError(i, str(exc)) from None
+            if toks[1] in declared:
+                raise ParseError(i, f"duplicate variable {toks[1]!r}")
+            declared.add(toks[1])
+            variables.append(Variable(toks[1], latent=len(toks) == 3))
+        elif kind in _ARROWS:
+            if len(toks) != 4 or toks[2] != _ARROWS[kind]:
+                raise ParseError(i, f"bad {kind} directive "
+                                 f"{' '.join(toks)!r}")
+            a, b = toks[1], toks[3]
+            if a == b:
+                raise ParseError(i, f"self-loop on {a!r}")
+            if kind == "edge":
+                if (a, b) in edges:
+                    raise ParseError(i, "duplicate edge")
+                edges.add((a, b))
+            links.append((i, kind, a, b))
         elif kind in ("domain", "cpt"):
             raise ParseError(i, f"{kind!r} belongs to the model format; "
                              "this parser reads plain graphs")
         else:
             raise ParseError(i, f"unknown directive {kind!r}")
+    for i, kind, a, b in links:
+        for n in (a, b):
+            if n not in declared:
+                raise ParseError(i, f"unknown variable {n!r} in {kind} "
+                                 f"{a}{_ARROWS[kind]}{b}")
+    arcs = [i for i, kind, _, _ in links if kind == "arc"]
     try:
-        return CausalGraph(variables, edges, bidirected=[a for _, a in arcs])
-    except GraphError as exc:
-        raise ParseError(arcs[0][0] if arcs else 1, str(exc)) from None
+        return CausalGraph(
+            variables, [(a, b) for _, kind, a, b in links if kind == "edge"],
+            bidirected=[(a, b) for _, kind, a, b in links if kind == "arc"])
+    except GraphError as exc:  # a directed cycle
+        raise ParseError(arcs[0] if arcs else 1, str(exc)) from None
 
 
 def _parse_pa_assignment(toks: list[str], line: int) -> dict[str, str]:
@@ -219,6 +241,9 @@ def parse_model(text: str) -> DiscreteModel:
         if sum(probs) != 1:
             raise ParseError(i, f"cpt row for {name!r} sums to "
                              f"{sum(probs)}, not 1")
+        if any(p < 0 for p in probs):
+            raise ParseError(i, f"negative probability in cpt row for "
+                             f"{name!r}")
         rows[name][key] = tuple(probs)
 
     mechanisms = {}
@@ -232,10 +257,7 @@ def parse_model(text: str) -> DiscreteModel:
                 f"{dict(zip(parent_order[n], lack[0]))!r}" if lack else
                 f"cpt for {n!r} has surplus rows")
         mechanisms[n] = Mechanism(n, parent_order[n], rows[n])
-    try:
-        return DiscreteModel(g, domains, mechanisms)
-    except ModelError as exc:
-        raise ParseError(1, str(exc)) from None
+    return DiscreteModel(g, domains, mechanisms)
 
 
 def model_to_dsl(m: DiscreteModel) -> str:

@@ -31,6 +31,15 @@ class GraphError(Exception):
     """Invalid graph construction, or a query naming an unknown variable."""
 
 
+def check_name(name: str) -> None:
+    """Raise GraphError unless ``name`` may name a variable."""
+    if not NAME_RE.match(name):
+        raise GraphError(f"invalid variable name {name!r}")
+    if _RESERVED_RE.search(name):
+        raise GraphError(f"variable name {name!r} ends in a reserved "
+                         "__<digits> suffix")
+
+
 class ScaleError(Exception):
     """An exhaustive operation was asked to run beyond its size guard."""
 
@@ -74,12 +83,7 @@ class CausalGraph:
 
         seen: set[str] = set()
         for v in vs:
-            if not NAME_RE.match(v.name):
-                raise GraphError(f"invalid variable name {v.name!r}")
-            if _RESERVED_RE.search(v.name):
-                raise GraphError(
-                    f"variable name {v.name!r} ends in a reserved "
-                    "__<digits> suffix")
+            check_name(v.name)
             if v.name in seen:
                 raise GraphError(f"duplicate variable {v.name!r}")
             seen.add(v.name)

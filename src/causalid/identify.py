@@ -11,8 +11,9 @@ rewrite derivation.  Three layers:
   asks the same d-separation question on its cut graph;
 * a budget-bounded search over rewrites (rules, marginalization
   insertion, chain splits, plus back-door/front-door closures as canned
-  step sequences) with canonical-state memoization.  Every move has one
-  shape, ``(own cost, plan builder, sub-states)``.
+  step sequences) with one memo entry per canonical state.  Every move
+  has one shape, ``(own cost, plan builder, sub-states)``, and a rule
+  step's guard is built only when a plan is built through it.
 
 The search runs its d-separation guards on the full graph including
 latent nodes, but only observed variables ever enter a formula.  A
@@ -307,30 +308,29 @@ def _subsets(g: CausalGraph, names, proper: bool = False):
 
 
 class _Searcher:
-    """Budget-bounded minimal-cost search over term states with
-    memoization, in one depth-first branch-and-bound pass: each state
-    tries every move, tightening the cap to one below the best cost
-    found so far, so ``solve(s, c)`` returns a minimum-cost plan
-    whenever one of cost at most ``c`` exists.  Ties go to the first
-    move in generation order."""
+    """Budget-bounded minimal-cost search over term states, in one
+    depth-first branch-and-bound pass: each state tries every move,
+    tightening the cap to one below the best cost found so far, so
+    ``solve(s, c)`` returns a minimum-cost plan whenever one of cost at
+    most ``c`` exists.  Ties go to the first move in generation order.
+
+    ``memo`` maps each expanded state to ``(largest cap searched, plan or
+    None)``.  A stored plan is a global minimum, so it answers every cap;
+    a stored failure answers every cap up to its own, and the default
+    ``(0, None)`` refuses caps below 1."""
 
     def __init__(self, g: CausalGraph):
         self.g = g
-        self.success: dict[State, tuple[int, object]] = {}
-        self.failure: dict[State, int] = {}
+        self.memo: dict[State, tuple[int, tuple[int, object] | None]] = {}
 
     def solve(self, state: State, cap: int):
-        T, O, D = state
-        if not D:
+        if not state[2]:
             return 0, _Done()
-        if cap <= 0:
+        searched, best = self.memo.get(state, (0, None))
+        if best is not None:
+            return best if best[0] <= cap else None
+        if cap <= searched:
             return None
-        hit = self.success.get(state)
-        if hit is not None and hit[0] <= cap:
-            return hit
-        if self.failure.get(state, -1) >= cap:
-            return None
-        best = None
         for move in self._moves(state):
             limit = cap if best is None else best[0] - 1
             got = self._try(move, limit)
@@ -338,10 +338,7 @@ class _Searcher:
                 best = got
                 if best[0] == 1:
                     break
-        if best is None:
-            self.failure[state] = max(self.failure.get(state, -1), cap)
-        else:
-            self.success[state] = best
+        self.memo[state] = (cap, best)
         return best
 
     def _try(self, move, cap: int):
@@ -395,19 +392,23 @@ class _Searcher:
                    ((T - ss, O | ss, D), (ss, O, D)))
 
     def _rule(self, tag, xs, ys, zs, ws, after: State):
-        """One guarded rule step, then the state it leads to."""
-        guard = _guard(tag, self.g, xs, ys, zs, ws)
-        return 1, partial(_Rule, tag, guard, after), (after,)
+        """One guarded rule step, then the state it leads to.  The
+        builder makes the step's ``GuardFact``: only a built plan has one."""
+        g = self.g
+        return 1, (lambda rest: _Rule(tag, _guard(tag, g, xs, ys, zs, ws),
+                                      after, rest)), (after,)
 
     # canned closures: the canonical adjustment derivations as fixed
     # primitive-step plans, offered only when every licensing guard holds
 
     def _backdoor_closure(self, T, D):
+        sets = find_backdoor_sets(self.g, D, T)
+        return self._backdoor_plan(T, D, sets[0]) if sets else None
+
+    def _backdoor_plan(self, T, D, zs):
+        """sum_zs p(T|D,zs) p(zs) for p(T|do(D)) by rule 2 on do(D) given
+        zs and rule 3 on p(zs|do(D)); None when either guard fails."""
         g = self.g
-        sets = find_backdoor_sets(g, D, T)
-        if not sets:
-            return None
-        zs = sets[0]
         exchange = _guard("rule2", g, frozenset(), T, D, zs)
         if not exchange.verify(g):
             return None
@@ -423,28 +424,25 @@ class _Searcher:
         ))
 
     def _frontdoor_closure(self, T, D):
+        """Two back-door plans joined by rule 2 and rule 3: in p(T|zs,
+        do(D)), rule 2 makes zs do(zs) and rule 3 deletes do(D), leaving
+        p(T|do(zs)) adjusted for D; p(zs|do(D)) is adjusted for nothing."""
         g = self.g
         sets = find_frontdoor_sets(g, D, T)
         if not sets:
             return None
         zs = sets[0]
-        g1 = _guard("rule2", g, frozenset(), zs, D, frozenset())
-        g2 = _guard("rule2", g, D, T, zs, frozenset())
-        g3 = _guard("rule3", g, zs, T, D, frozenset())
-        g4 = _guard("rule3", g, frozenset(), D, zs, frozenset())
-        g5 = _guard("rule2", g, frozenset(), T, zs, D)
-        if not all(gf.verify(g) for gf in (g1, g2, g3, g4, g5)):
+        add = _guard("rule2", g, D, T, zs, frozenset())
+        drop = _guard("rule3", g, zs, T, D, frozenset())
+        if not (add.verify(g) and drop.verify(g)):
             return None
-        inner = _Marg(g.ordered(D), _Chain(
-            g.ordered(D),
-            _Rule("rule2", g5, (T, D | zs, frozenset()), _Done()),
-            _Rule("rule3", g4, (D, frozenset(), frozenset()), _Done()),
-        ))
-        first = _Rule("rule2", g2, (T, frozenset(), D | zs),
-                      _Rule("rule3", g3, (T, frozenset(), zs), inner))
-        second = _Rule("rule2", g1, (zs, D, frozenset()), _Done())
-        return _Marg(g.ordered(zs),
-                     _Chain(g.ordered(zs), first, second))
+        inner = self._backdoor_plan(T, zs, D)
+        second = self._backdoor_plan(zs, D, frozenset()) if inner else None
+        if second is None:
+            return None
+        first = _Rule("rule2", add, (T, frozenset(), D | zs),
+                      _Rule("rule3", drop, (T, frozenset(), zs), inner))
+        return _Marg(g.ordered(zs), _Chain(g.ordered(zs), first, second))
 
 
 # -- plan replay into a concrete derivation --------------------------------

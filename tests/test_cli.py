@@ -4,7 +4,9 @@ from pathlib import Path
 import pytest
 
 from causalid import DiscreteModel
+from causalid import cli
 from causalid.cli import main
+from causalid.identify import EngineInvariantError
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 
@@ -210,6 +212,28 @@ def test_eval_usage_errors(files, capsys):
     assert code == 2 and "exactly one" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--do", "X=1", "--target", "Y,Y"), "--target names 'Y' twice"),
+    (("--do", "X=1", "--do", "X=0", "--target", "Y"),
+     "--do names 'X' twice"),
+    (("--formula", "p(Y|X)", "--do", "X", "--do", "X", "--target", "Y"),
+     "--do names 'X' twice"),
+], ids=["target-twice", "do-value-twice", "do-axis-twice"])
+def test_eval_names_each_variable_once(files, capsys, argv, message):
+    code, out, err = run(capsys, "eval", files["confounder.model"], *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_eval_check_target_must_be_free_in_formula(files, capsys):
+    code, out, err = run(capsys, "eval", files["confounder.model"],
+                         "--formula", "p(Y|X)", "--do", "X", "--target",
+                         "Z", "--check")
+    assert code == 2 and out == ""
+    assert err == ("error: --check target 'Z' is not a free variable of "
+                   "the formula\n")
+
+
 def test_parse_error_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.graph"
     bad.write_text("var A\nedge A ->\n")
@@ -233,11 +257,38 @@ def test_equiv_chain_collider(files, capsys):
     assert "(X,Z,Y)" in out
 
 
+def test_equiv_skeleton_edge_and_json(files, tmp_path, capsys):
+    triangle = tmp_path / "triangle.graph"
+    triangle.write_text(CHAIN + "edge X -> Y\n")
+    code, out, _ = run(capsys, "equiv", files["chain.graph"],
+                       str(triangle))
+    assert code == 0
+    assert out == f"DISTINCT skeleton edge X-Y only in {triangle}\n"
+    code, out, _ = run(capsys, "equiv", files["chain.graph"],
+                       files["collider.graph"], "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "schema": 1, "command": "equiv", "equivalent": False,
+        "detail": f"v-structure (X,Z,Y) only in {files['collider.graph']}"}
+
+
 def test_pattern_output(files, capsys):
     code, out, _ = run(capsys, "pattern", files["collider.graph"])
     assert code == 0 and out == "X->Z  Y->Z\n"
     code, out, _ = run(capsys, "pattern", files["chain.graph"])
     assert code == 0 and out == "X-Z  Z-Y\n"
+
+
+def test_pattern_json_and_no_edges(files, tmp_path, capsys):
+    code, out, _ = run(capsys, "pattern", files["collider.graph"], "--json")
+    assert code == 0
+    assert json.loads(out) == {"schema": 1, "command": "pattern",
+                               "directed": [["X", "Z"], ["Y", "Z"]],
+                               "undirected": []}
+    empty = tmp_path / "empty.graph"
+    empty.write_text("var A\nvar B\n")
+    code, out, _ = run(capsys, "pattern", str(empty))
+    assert code == 0 and out == "(no edges)\n"
 
 
 # -- corpus ---------------------------------------------------------------------
@@ -249,6 +300,18 @@ def test_corpus_list(capsys):
                  "rct-coin", "front-door"):
         assert name in out
     assert "unavailable:" in out
+
+
+def test_corpus_list_json(capsys):
+    code, out, _ = run(capsys, "corpus", "--list", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["schema"] == 1 and doc["command"] == "corpus"
+    loyalty = next(e for e in doc["entries"] if e["name"] == "loyalty")
+    assert loyalty["treatment"] == ["X"] and loyalty["outcome"] == ["Y"]
+    assert loyalty["nodes"] == 4 and loyalty["latent"] == 1
+    assert doc["unavailable"] and all(set(u) == {"name", "note"}
+                                      for u in doc["unavailable"])
 
 
 def test_corpus_run_all_green(capsys):
@@ -325,3 +388,27 @@ def test_eval_target_repeating_do_is_usage_error(capsys, do):
                          "--do", do, "--target", "X")
     assert code == 2 and out == ""
     assert err == "error: --target and --do must be disjoint\n"
+
+
+# -- exit codes of the entry point --------------------------------------------
+
+def test_unreadable_input_is_usage_error(tmp_path, capsys):
+    code, out, err = run(capsys, "pattern", str(tmp_path / "missing.graph"))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read {tmp_path / 'missing.graph'}")
+
+
+def test_argparse_error_is_usage_error(capsys):
+    code, out, err = run(capsys, "identify", "--x", "X")
+    assert code == 2 and out == "" and "usage:" in err
+
+
+def test_engine_invariant_error_exits_3(files, monkeypatch, capsys):
+    def broken(query, budget):
+        raise EngineInvariantError("formula disagrees")
+
+    monkeypatch.setattr(cli, "identify", broken)
+    code, out, err = run(capsys, "identify", files["frontdoor.graph"],
+                         "--x", "X", "--y", "Y")
+    assert code == 3 and out == ""
+    assert err == "internal error: formula disagrees\n"

@@ -160,6 +160,40 @@ def test_model_graph_errors_name_their_own_line():
         parse_model(cyclic)
 
 
+@pytest.mark.parametrize("text, where", [
+    ("var A\nvar B\n\nedge A -> Q\n", "line 4: unknown variable 'Q'"),
+    ("var A\nvar B\narc A <-> B\nedge A -> Q\n",
+     "line 4: unknown variable 'Q'"),
+    ("var A\nvar B\narc A <-> B\narc A <-> Q\n",
+     "line 4: unknown variable 'Q'"),
+    ("var A\nvar B\nvar A\n", "line 3: duplicate variable 'A'"),
+    ("var A\nvar B\nedge A -> B\nedge A -> B\n",
+     "line 4: duplicate edge"),
+    ("var A\nvar B\nedge A -> A\n", "line 3: self-loop on 'A'"),
+    ("var A\nvar B-C\n", "line 2: invalid variable name 'B-C'"),
+    ("var A\nvar B__2\n", "line 2: variable name 'B__2' ends in a "
+     "reserved"),
+], ids=["edge-after-blank", "edge-after-arc", "arc", "repeated-var",
+        "repeated-edge", "self-loop", "invalid-name", "reserved-suffix"])
+def test_graph_errors_name_their_own_line(text, where):
+    with pytest.raises(ParseError) as info:
+        parse_graph(text)
+    assert str(info.value).startswith(where)
+
+
+def test_edges_may_precede_their_variables():
+    g = parse_graph("edge A -> B\narc A <-> B\nvar A\nvar B\n")
+    assert g.has_edge("A", "B") and g.latent_names == {"U_A_B"}
+
+
+def test_negative_cpt_entry_names_its_line():
+    text = ("var A\nvar B\nedge A -> B\ndomain A 0 1\ndomain B 0 1\n"
+            "cpt A | : 1/2 1/2\ncpt B | A=0 : 3/2 -1/2\n"
+            "cpt B | A=1 : 1/2 1/2\n")
+    with pytest.raises(ParseError, match="line 7: negative probability"):
+        parse_model(text)
+
+
 def test_model_graph_lines_anywhere():
     compact = ("var A\nvar B\nedge A -> B\ndomain A 0 1\ndomain B 0 1\n"
                "cpt A | : 1/2 1/2\ncpt B | A=0 : 1/3 2/3\n"

@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction as F
 from itertools import combinations, product
@@ -16,7 +17,7 @@ from causalid import (IDENTIFIED, KNOWN_NON_IDENTIFIABLE,
                       rule2_applicable, rule3_applicable, run_entry,
                       unavailable)
 from causalid.dsl import parse_graph
-from causalid.expr import alpha_equal
+from causalid.expr import GuardFact, alpha_equal
 from causalid.identify import (_role_isomorphic, _Searcher,
                                find_frontdoor_sets, oracle_disagreement)
 
@@ -355,6 +356,39 @@ def test_identify_generates_moves_in_one_pass(monkeypatch):
     res = identify(Query(g, ("X",), ("Y",)))
     assert res.status == IDENTIFIED
     assert (len(states), len(set(states))) == (15, 9)
+
+
+def test_stored_plan_refuses_a_smaller_cap_without_moves(monkeypatch):
+    # a stored plan is a global minimum: a cap below its cost is refused
+    # from the memo, without generating the state's moves again
+    g = parse_graph((DEMO / "frontdoor.graph").read_text())
+    searcher = _Searcher(g)
+    state = (frozenset({"Y"}), frozenset(), frozenset({"X"}))
+    cost, _ = searcher.solve(state, 16)
+    states = _count_move_generations(monkeypatch)
+    assert searcher.solve(state, cost - 1) is None
+    assert searcher.solve(state, cost)[0] == cost
+    assert states == []
+
+
+def test_rule_moves_build_guards_only_for_built_plans(monkeypatch):
+    # with observations present no closure is offered, and a rule move
+    # makes its GuardFact only when a plan is built through it
+    module = importlib.import_module("causalid.identify")
+    built = []
+
+    def counting_guard_fact(*args):
+        built.append(args)
+        return GuardFact(*args)
+
+    monkeypatch.setattr(module, "GuardFact", counting_guard_fact)
+    g = parse_graph((DEMO / "frontdoor.graph").read_text())
+    searcher = _Searcher(g)
+    state = (frozenset({"Y"}), frozenset({"Z"}), frozenset({"X"}))
+    assert len(list(searcher._moves(state))) > 0
+    assert built == []
+    cost, plan = searcher.solve(state, 16)
+    assert cost >= 1 and len(built) >= 1
 
 
 @given(st.integers(0, 400))

@@ -50,6 +50,17 @@ def _names(s: str | None) -> tuple[str, ...]:
     return tuple(t for t in (x.strip() for x in s.split(",")) if t)
 
 
+def _variables(g, flag: str, s: str | None) -> tuple[str, ...]:
+    """The variables a comma-separated flag names, each known to ``g``
+    and named once."""
+    names = _names(s)
+    for i, n in enumerate(names):
+        g.index(n)
+        if n in names[:i]:
+            raise _Failure(2, f"{flag} names {n!r} twice")
+    return names
+
+
 def _emit_json(doc: dict) -> None:
     doc = {"schema": SCHEMA, **doc}
     print(json.dumps(doc, indent=2))
@@ -97,7 +108,7 @@ def cmd_identify(args) -> int:
     if args.budget < 1:
         raise _Failure(2, "--budget must be at least 1")
     g = parse_graph(_read(args.graph))
-    X, Y = _names(args.x), _names(args.y)
+    X, Y = _variables(g, "--x", args.x), _variables(g, "--y", args.y)
     query = Query(g, X, Y)
     res = identify(query, budget=args.budget)
     fmt = "latex" if args.latex else "text"
@@ -155,11 +166,7 @@ def cmd_eval(args) -> int:
             raise _Failure(2, f"value {v!r} not in domain of {n!r}")
     for n in free_do:
         g.index(n)
-    targets = _names(args.target)
-    for i, n in enumerate(targets):
-        g.index(n)
-        if n in targets[:i]:
-            raise _Failure(2, f"--target names {n!r} twice")
+    targets = _variables(g, "--target", args.target)
     if set(targets) & (set(fixed) | set(free_do)):
         raise _Failure(2, "--target and --do must be disjoint")
 

@@ -186,6 +186,11 @@ def parse_model(text: str) -> DiscreteModel:
         else:
             raise ParseError(i, f"unknown directive {toks[0]!r}")
     g = _graph_from_directives(graph_lines)
+    # the graph lists the declared variables in ``var`` order, then one
+    # latent per ``arc`` in arc order: each name's line is its directive's
+    line_of = dict(zip(g.names,
+                       [i for i, toks in graph_lines if toks[0] == "var"]
+                       + [i for i, toks in graph_lines if toks[0] == "arc"]))
 
     domains: dict[str, tuple[str, ...]] = {}
     for i, toks in domain_lines:
@@ -203,7 +208,8 @@ def parse_model(text: str) -> DiscreteModel:
 
     missing = [n for n in g.names if n not in domains]
     if missing:
-        raise ParseError(1, f"no domain declared for {missing[0]!r}")
+        raise ParseError(line_of[missing[0]],
+                         f"no domain declared for {missing[0]!r}")
 
     rows: dict[str, dict[tuple, tuple]] = {n: {} for n in g.names}
     parent_order: dict[str, tuple[str, ...]] = {
@@ -253,9 +259,9 @@ def parse_model(text: str) -> DiscreteModel:
         if have != expected_keys:
             lack = sorted(expected_keys - have)
             raise ParseError(
-                1, f"cpt for {n!r} misses a row for parent assignment "
-                f"{dict(zip(parent_order[n], lack[0]))!r}" if lack else
-                f"cpt for {n!r} has surplus rows")
+                line_of[n], f"cpt for {n!r} misses a row for parent "
+                f"assignment {dict(zip(parent_order[n], lack[0]))!r}"
+                if lack else f"cpt for {n!r} has surplus rows")
         mechanisms[n] = Mechanism(n, parent_order[n], rows[n])
     return DiscreteModel(g, domains, mechanisms)
 

@@ -13,7 +13,10 @@ rewrite derivation.  Three layers:
   insertion, chain splits, plus back-door/front-door closures as canned
   step sequences) with one memo entry per canonical state.  Every move
   has one shape, ``(own cost, plan builder, sub-states)``, and a rule
-  step's guard is built only when a plan is built through it.
+  step's guard is built only when a plan is built through it.  A second
+  memo keeps each state's guard verdicts, so a state expanded again
+  replays its moves without asking a d-separation question twice; it
+  keeps no moves, whose sub-states would outlive the expansion.
 
 The search runs its d-separation guards on the full graph including
 latent nodes, but only observed variables ever enter a formula.  A
@@ -317,11 +320,26 @@ class _Searcher:
     ``memo`` maps each expanded state to ``(largest cap searched, plan or
     None)``.  A stored plan is a global minimum, so it answers every cap;
     a stored failure answers every cap up to its own, and the default
-    ``(0, None)`` refuses caps below 1."""
+    ``(0, None)`` refuses caps below 1.
+
+    ``verdicts`` maps each state whose moves were generated to its guard
+    outcomes so far, ``(closure plans, rule verdicts)``: the back-door
+    and front-door plans (None when refused) and one byte per rule
+    candidate, each a prefix in generation order that grows as moves are
+    asked for.  A state is expanded again after a failure at a smaller
+    cap, and re-entered while its own expansion is still on the stack
+    (rule 2 turns do(z) into z and back); every such expansion reads the
+    verdicts already found and extends them, so it yields the same moves
+    in the same order without running a guard twice.  Only
+    verdicts are kept, never moves: a move holds its sub-states, and
+    keeping those alive for every state costs more memory than
+    regenerating the unguarded ``marg`` and ``chain`` moves costs time.
+    Both memos live and die with the searcher, one per ``identify``."""
 
     def __init__(self, g: CausalGraph):
         self.g = g
         self.memo: dict[State, tuple[int, tuple[int, object] | None]] = {}
+        self.verdicts: dict[State, tuple[list, bytearray]] = {}
 
     def solve(self, state: State, cap: int):
         if not state[2]:
@@ -363,33 +381,48 @@ class _Searcher:
     def _moves(self, state: State):
         g = self.g
         T, O, D = state
+        known = self.verdicts.get(state)
+        if known is None:
+            known = self.verdicts[state] = ([], bytearray())
+        closures, rules = known
         if not O:
-            for closure in (self._backdoor_closure, self._frontdoor_closure):
-                plan = closure(T, D)
+            for i, closure in enumerate((self._backdoor_closure,
+                                         self._frontdoor_closure)):
+                if i == len(closures):
+                    closures.append(closure(T, D))
+                plan = closures[i]
                 if plan is not None:
                     yield _plan_cost(plan), (lambda p=plan: p), ()
-        for zs in _subsets(g, D):
-            xs = D - zs
-            if rule2_applicable(g, xs, T, zs, O):
-                yield self._rule("rule2", xs, T, zs, O, (T, O | zs, xs))
-        for zs in _subsets(g, D):
-            xs = D - zs
-            if rule3_applicable(g, xs, T, zs, O):
-                yield self._rule("rule3", xs, T, zs, O, (T, O, xs))
-        for zs in _subsets(g, O):
-            ws = O - zs
-            if rule2_applicable(g, D, T, zs, ws):
-                yield self._rule("rule2", D, T, zs, ws, (T, ws, D | zs))
-        for zs in _subsets(g, O):
-            ws = O - zs
-            if rule1_applicable(g, D, T, zs, ws):
-                yield self._rule("rule1", D, T, zs, ws, (T, ws, D))
+        steps = self._rule_steps(state)
+        for i, (tag, guard, xs, zs, ws, after) in enumerate(steps):
+            if i == len(rules):
+                rules.append(guard(g, xs, T, zs, ws))
+            if rules[i]:
+                yield self._rule(tag, xs, T, zs, ws, after)
         candidates = [n for n in g.observed_names if n not in T | O | D]
         for vs in _subsets(g, candidates):
             yield 1, partial(_Marg, g.ordered(vs)), ((T | vs, O, D),)
         for ss in _subsets(g, T, proper=True):
             yield (1, partial(_Chain, g.ordered(ss)),
                    ((T - ss, O | ss, D), (ss, O, D)))
+
+    def _rule_steps(self, state: State):
+        """Every rule step out of ``state`` that needs a guard, in
+        generation order, as ``(tag, guard, X, Z, W, state after)``: rule
+        2 and rule 3 on each part of the interventions, then rule 2 and
+        rule 1 on each part of the observations.  Each guard is read from
+        its module-global name on every call, so a wrapper bound in its
+        place (a tracer, a test's counter) sees every question asked."""
+        g = self.g
+        T, O, D = state
+        for zs in _subsets(g, D):
+            yield "rule2", rule2_applicable, D - zs, zs, O, (T, O | zs, D - zs)
+        for zs in _subsets(g, D):
+            yield "rule3", rule3_applicable, D - zs, zs, O, (T, O, D - zs)
+        for zs in _subsets(g, O):
+            yield "rule2", rule2_applicable, D, zs, O - zs, (T, O - zs, D | zs)
+        for zs in _subsets(g, O):
+            yield "rule1", rule1_applicable, D, zs, O - zs, (T, O - zs, D)
 
     def _rule(self, tag, xs, ys, zs, ws, after: State):
         """One guarded rule step, then the state it leads to.  The

@@ -382,6 +382,16 @@ def test_identify_budget_below_one_is_usage_error(files, capsys, budget):
     assert err == "error: --budget must be at least 1\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--x", "X,X", "--y", "Y"), "--x names 'X' twice"),
+    (("--x", "X", "--y", "Y, Y"), "--y names 'Y' twice"),
+], ids=["x-twice", "y-twice"])
+def test_identify_names_each_variable_once(files, capsys, argv, message):
+    code, out, err = run(capsys, "identify", files["frontdoor.graph"], *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("do", ["X=1", "X"])
 def test_eval_target_repeating_do_is_usage_error(capsys, do):
     code, out, err = run(capsys, "eval", str(DEMO / "frontdoor.model"),

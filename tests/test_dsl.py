@@ -194,6 +194,28 @@ def test_negative_cpt_entry_names_its_line():
         parse_model(text)
 
 
+def test_missing_domain_names_the_variables_line():
+    # reported at B's var line; an arc's latent at the arc's line
+    text = "var A\nvar B\ndomain A 0 1\ncpt A | : 1/2 1/2\n"
+    with pytest.raises(ParseError) as info:
+        parse_model(text)
+    assert str(info.value) == "line 2: no domain declared for 'B'"
+    arc = ("var A\nvar B\ndomain A 0 1\ndomain B 0 1\narc A <-> B\n"
+           "cpt A | : 1/2 1/2\n")
+    with pytest.raises(ParseError) as info:
+        parse_model(arc)
+    assert str(info.value) == "line 5: no domain declared for 'U_A_B'"
+
+
+def test_missing_cpt_row_names_the_variables_line():
+    text = ("var A\nedge A -> B\ndomain A 0 1\ndomain B 0 1\n"
+            "cpt A | : 1/2 1/2\ncpt B | A=0 : 1 0\nvar B\n")
+    with pytest.raises(ParseError) as info:
+        parse_model(text)
+    assert str(info.value) == ("line 7: cpt for 'B' misses a row for "
+                               "parent assignment {'A': '1'}")
+
+
 def test_model_graph_lines_anywhere():
     compact = ("var A\nvar B\nedge A -> B\ndomain A 0 1\ndomain B 0 1\n"
                "cpt A | : 1/2 1/2\ncpt B | A=0 : 1/3 2/3\n"

@@ -1,6 +1,10 @@
+import gc
 import importlib
 import random
+import sys
+import weakref
 from fractions import Fraction as F
+from functools import partial
 from itertools import combinations, product
 from pathlib import Path
 
@@ -18,8 +22,9 @@ from causalid import (IDENTIFIED, KNOWN_NON_IDENTIFIABLE,
                       unavailable)
 from causalid.dsl import parse_graph
 from causalid.expr import GuardFact, alpha_equal
-from causalid.identify import (_role_isomorphic, _Searcher,
-                               find_frontdoor_sets, oracle_disagreement)
+from causalid.identify import (_Chain, _Marg, _plan_cost, _role_isomorphic,
+                               _Searcher, _subsets, find_frontdoor_sets,
+                               oracle_disagreement)
 
 from conftest import random_dag
 
@@ -413,6 +418,131 @@ def test_single_pass_equals_iterative_deepening(seed):
     for budget in range(1, 9):
         want = first if first is not None and first[0] <= budget else None
         assert _Searcher(g).solve(state, budget) == want
+
+
+def _count_guard_questions(monkeypatch):
+    # (state, rule, Z) of every rule guard the search runs, through the
+    # module-global names that a tracer rebinds; the state is read off
+    # the move generator that asks
+    module = importlib.import_module("causalid.identify")
+    asked = []
+    for tag in ("rule1", "rule2", "rule3"):
+        guard = getattr(module, f"{tag}_applicable")
+
+        def counting(g, X, Y, Z, W, guard=guard, tag=tag):
+            frame = sys._getframe(1)
+            while frame.f_code.co_name != "_moves":
+                frame = frame.f_back
+            asked.append((frame.f_locals["state"], tag, frozenset(Z)))
+            return guard(g, X, Y, Z, W)
+
+        monkeypatch.setattr(module, f"{tag}_applicable", counting)
+    return asked
+
+
+BOW_WITH_INSTRUMENT_AND_LEAF = CausalGraph(
+    ["I", "X", "Y", "L"], [("I", "X"), ("X", "Y"), ("Y", "L")],
+    bidirected=[("X", "Y")])
+
+
+@pytest.mark.parametrize("g, status", [
+    (parse_graph((DEMO / "frontdoor.graph").read_text()), IDENTIFIED),
+    (BOW_WITH_INSTRUMENT_AND_LEAF, NOT_WITHIN_BUDGET),
+], ids=["frontdoor", "bow-instrument-leaf"])
+def test_identify_runs_each_guard_once_per_state(monkeypatch, g, status):
+    # states are expanded again (after a failure at a smaller cap, or
+    # while their own expansion is on the stack), but every expansion
+    # reads the verdicts found so far instead of asking again
+    asked = _count_guard_questions(monkeypatch)
+    states = _count_move_generations(monkeypatch)
+    assert identify(Query(g, ("X",), ("Y",))).status == status
+    assert len(states) > len(set(states))
+    assert {tag for _, tag, _ in asked} == {"rule1", "rule2", "rule3"}
+    assert len(asked) == len(set(asked))
+
+
+class _RecheckingSearcher(_Searcher):
+    """The search with every guard run again on every expansion: the
+    move generator as it reads without a verdict memo."""
+
+    def _moves(self, state):
+        g = self.g
+        T, O, D = state
+        if not O:
+            for closure in (self._backdoor_closure, self._frontdoor_closure):
+                plan = closure(T, D)
+                if plan is not None:
+                    yield _plan_cost(plan), (lambda p=plan: p), ()
+        for zs in _subsets(g, D):
+            xs = D - zs
+            if rule2_applicable(g, xs, T, zs, O):
+                yield self._rule("rule2", xs, T, zs, O, (T, O | zs, xs))
+        for zs in _subsets(g, D):
+            xs = D - zs
+            if rule3_applicable(g, xs, T, zs, O):
+                yield self._rule("rule3", xs, T, zs, O, (T, O, xs))
+        for zs in _subsets(g, O):
+            ws = O - zs
+            if rule2_applicable(g, D, T, zs, ws):
+                yield self._rule("rule2", D, T, zs, ws, (T, ws, D | zs))
+        for zs in _subsets(g, O):
+            ws = O - zs
+            if rule1_applicable(g, D, T, zs, ws):
+                yield self._rule("rule1", D, T, zs, ws, (T, ws, D))
+        candidates = [n for n in g.observed_names if n not in T | O | D]
+        for vs in _subsets(g, candidates):
+            yield 1, partial(_Marg, g.ordered(vs)), ((T | vs, O, D),)
+        for ss in _subsets(g, T, proper=True):
+            yield (1, partial(_Chain, g.ordered(ss)),
+                   ((T - ss, O | ss, D), (ss, O, D)))
+
+
+@given(st.integers(0, 400))
+def test_verdict_memo_equals_rechecking_every_guard(seed):
+    # the memo only replays verdicts, so the search finds the same cost
+    # and plan at every budget as one that asks every guard again
+    rng = random.Random(seed)
+    g = random_dag(rng, n=rng.randint(3, 6), p=rng.uniform(0.3, 0.7),
+                   latent=0.3)
+    effect = _random_effect(rng, g)
+    if effect is None:
+        return
+    xs, ys = effect
+    state = (ys, frozenset(), xs)
+    for budget in range(1, 9):
+        assert (_Searcher(g).solve(state, budget)
+                == _RecheckingSearcher(g).solve(state, budget))
+
+
+def test_searcher_and_memos_die_when_identify_returns(monkeypatch):
+    # nothing the search keeps forms a reference cycle, so the searcher
+    # and both memos are freed by reference counting alone
+    class Memo(dict):
+        pass
+
+    refs = []
+    init = _Searcher.__init__
+
+    def tracking_init(self, g):
+        init(self, g)
+        self.memo, self.verdicts = Memo(), Memo()
+        refs.extend(weakref.ref(o) for o in (self, self.memo,
+                                             self.verdicts))
+
+    monkeypatch.setattr(_Searcher, "__init__", tracking_init)
+    frontdoor = parse_graph((DEMO / "frontdoor.graph").read_text())
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert identify(Query(frontdoor, ("X",), ("Y",))).status \
+            == IDENTIFIED
+        assert identify(Query(BOW_WITH_INSTRUMENT_AND_LEAF, ("X",),
+                              ("Y",))).status == NOT_WITHIN_BUDGET
+        assert len(refs) == 6
+        assert [r() for r in refs] == [None] * 6
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_identify_budget_one_fails_on_frontdoor(frontdoor_graph):

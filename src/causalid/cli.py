@@ -25,7 +25,8 @@ from .dsl import ParseError, parse_assignment, parse_graph, parse_model
 from .expr import (ExprError, evaluate, free_variables, parse, render,
                    base_name)
 from .graph import GraphError, ScaleError
-from .identify import (IDENTIFIED, EngineInvariantError, Query, identify)
+from .identify import (DEFAULT_BUDGET, IDENTIFIED, EngineInvariantError,
+                       Query, identify)
 from .scm import ModelError, PositivityError
 
 SCHEMA = 1
@@ -44,16 +45,10 @@ def _read(path: str) -> str:
         raise _Failure(2, f"cannot read {path}: {exc.strerror}") from None
 
 
-def _names(s: str | None) -> tuple[str, ...]:
-    if not s:
-        return ()
-    return tuple(t for t in (x.strip() for x in s.split(",")) if t)
-
-
 def _variables(g, flag: str, s: str | None) -> tuple[str, ...]:
     """The variables a comma-separated flag names, each known to ``g``
     and named once."""
-    names = _names(s)
+    names = tuple(t for t in (x.strip() for x in (s or "").split(",")) if t)
     for i, n in enumerate(names):
         g.index(n)
         if n in names[:i]:
@@ -74,10 +69,13 @@ def _fr(x) -> str:
 
 def cmd_dsep(args) -> int:
     g = parse_graph(_read(args.graph))
-    if args.cut_incoming or args.cut_outgoing:
-        g = g.mutilate(cut_incoming=_names(args.cut_incoming),
-                       cut_outgoing=_names(args.cut_outgoing))
-    X, Y, Z = _names(args.x), _names(args.y), _names(args.given)
+    ci = _variables(g, "--cut-incoming", args.cut_incoming)
+    co = _variables(g, "--cut-outgoing", args.cut_outgoing)
+    if ci or co:
+        g = g.mutilate(cut_incoming=ci, cut_outgoing=co)
+    X = _variables(g, "--x", args.x)
+    Y = _variables(g, "--y", args.y)
+    Z = _variables(g, "--given", args.given)
     separated = d_separated(g, X, Y, Z)
     witness = None if separated else connecting_path(g, X, Y, Z)
     if args.json:
@@ -366,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    p.add_argument("--budget", type=int, default=16)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--latex", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_identify)

@@ -16,7 +16,11 @@ rewrite derivation.  Three layers:
   step's guard is built only when a plan is built through it.  A second
   memo keeps each state's guard verdicts, so a state expanded again
   replays its moves without asking a d-separation question twice; it
-  keeps no moves, whose sub-states would outlive the expansion.
+  keeps no moves, whose sub-states would outlive the expansion.  Every
+  move has a cost floor, a lower bound on any plan through it (a state
+  with interventions left needs at least one more step), and a move
+  whose floor exceeds the current limit is left out before its guard
+  runs; ``_Searcher`` proves that this never changes the plan found.
 
 The search runs its d-separation guards on the full graph including
 latent nodes, but only observed variables ever enter a formula.  A
@@ -310,6 +314,10 @@ def _subsets(g: CausalGraph, names, proper: bool = False):
             yield frozenset(c)
 
 
+# a rule verdict not asked yet; a guard's own answer is 0 or 1
+_UNASKED = 2
+
+
 class _Searcher:
     """Budget-bounded minimal-cost search over term states, in one
     depth-first branch-and-bound pass: each state tries every move,
@@ -322,19 +330,46 @@ class _Searcher:
     a stored failure answers every cap up to its own, and the default
     ``(0, None)`` refuses caps below 1.
 
+    Cost floors.  ``floor(s)`` is 0 when ``D`` is empty and 1 otherwise:
+    ``solve`` returns ``_Done`` only for an empty ``D``, and every move
+    costs at least 1.  A move's floor is its own cost plus the floors of
+    its sub-states: a rule step 1 + floor(after), ``marg`` 2 and
+    ``chain`` 3 (their sub-states keep ``D``).  The closures cost
+    exactly what their plans cost: the front-door plan is always 9 steps
+    (marg, chain, rule 2, rule 3, a 4-step back-door plan for a nonempty
+    ``D`` and a 1-step one), the back-door plan 1 (empty set) or 4.
+    ``_moves`` leaves out every move whose floor exceeds the current
+    limit (the cap, or the best cost found so far less one) before its
+    guard or set finder runs.  Such a move costs more than the limit,
+    so ``_try`` would have returned None for it.  The back-door closure
+    is offered only from limit 4: below that, its one plan that fits is
+    the empty-set plan, a single rule 2 on all of ``D`` with nothing
+    observed, which is the very plan of the rule-2 move on all of ``D``
+    (same guard, same state after); that move has floor 1, so it is
+    generated, and no move before it costs 1 (the front-door plan costs
+    9, rule steps on a proper part of ``D`` keep ``D``).  So by
+    induction on the cap, ``solve(s, c)`` is the minimum-cost plan of
+    ``s`` within ``c`` with ties to the first move in generation order,
+    whatever the memos hold: the plans, and so the derivations and
+    ``budget_spent``, are those of the search without floors.
+
     ``verdicts`` maps each state whose moves were generated to its guard
-    outcomes so far, ``(closure plans, rule verdicts)``: the back-door
-    and front-door plans (None when refused) and one byte per rule
-    candidate, each a prefix in generation order that grows as moves are
-    asked for.  A state is expanded again after a failure at a smaller
-    cap, and re-entered while its own expansion is still on the stack
-    (rule 2 turns do(z) into z and back); every such expansion reads the
-    verdicts already found and extends them, so it yields the same moves
-    in the same order without running a guard twice.  Only
-    verdicts are kept, never moves: a move holds its sub-states, and
-    keeping those alive for every state costs more memory than
-    regenerating the unguarded ``marg`` and ``chain`` moves costs time.
-    Both memos live and die with the searcher, one per ``identify``."""
+    outcomes so far, ``(closure plans, rule verdicts)``.  The closure
+    plans (None when refused) are a prefix in generation order: the
+    front-door closure, floor 9, is reached only in an expansion that
+    passed the back-door one, floor 4, at the same limit.  The rule
+    verdicts are one byte per rule candidate, ``_UNASKED`` until the
+    candidate's guard runs; a candidate pruned by its floor leaves a
+    hole that a later expansion at a larger limit may fill.  A state is
+    expanded again after a failure at a smaller cap, and re-entered
+    while its own expansion is still on the stack (rule 2 turns do(z)
+    into z and back); every such expansion reads the verdicts already
+    found and adds to them, so it yields the moves that fit its limit in
+    generation order without running a guard twice.  Only verdicts are
+    kept, never moves: a move holds its sub-states, and keeping those
+    alive for every state costs more memory than regenerating the
+    unguarded ``marg`` and ``chain`` moves costs time.  Both memos live
+    and die with the searcher, one per ``identify``."""
 
     def __init__(self, g: CausalGraph):
         self.g = g
@@ -349,13 +384,15 @@ class _Searcher:
             return best if best[0] <= cap else None
         if cap <= searched:
             return None
-        for move in self._moves(state):
-            limit = cap if best is None else best[0] - 1
-            got = self._try(move, limit)
+        # the move generator reads the limit as solve lowers it
+        limit = [cap]
+        for move in self._moves(state, limit):
+            got = self._try(move, limit[0])
             if got is not None and (best is None or got[0] < best[0]):
                 best = got
                 if best[0] == 1:
                     break
+                limit[0] = best[0] - 1
         self.memo[state] = (cap, best)
         return best
 
@@ -378,16 +415,27 @@ class _Searcher:
 
     # move generation, deterministic order
 
-    def _moves(self, state: State):
+    def _moves(self, state: State, limit: list):
+        """The moves out of ``state`` in generation order, leaving out
+        each one whose floor exceeds ``limit[0]`` when it is reached.  The
+        floors are the class docstring's: back-door closure 4, front-door
+        closure 9, a rule step 1 when it empties ``D`` and 2 otherwise,
+        ``marg`` 2 and ``chain`` 3."""
         g = self.g
         T, O, D = state
         known = self.verdicts.get(state)
         if known is None:
-            known = self.verdicts[state] = ([], bytearray())
+            # two rule candidates per nonempty part of D and of O
+            parts = (1 << len(D)) - 1 + (1 << len(O)) - 1
+            known = self.verdicts[state] = (
+                [], bytearray([_UNASKED]) * (2 * parts))
         closures, rules = known
         if not O:
-            for i, closure in enumerate((self._backdoor_closure,
-                                         self._frontdoor_closure)):
+            closures_by_floor = ((4, self._backdoor_closure),
+                                 (9, self._frontdoor_closure))
+            for i, (floor, closure) in enumerate(closures_by_floor):
+                if floor > limit[0]:
+                    break
                 if i == len(closures):
                     closures.append(closure(T, D))
                 plan = closures[i]
@@ -395,14 +443,20 @@ class _Searcher:
                     yield _plan_cost(plan), (lambda p=plan: p), ()
         steps = self._rule_steps(state)
         for i, (tag, guard, xs, zs, ws, after) in enumerate(steps):
-            if i == len(rules):
-                rules.append(guard(g, xs, T, zs, ws))
+            if after[2] and limit[0] < 2:
+                continue
+            if rules[i] == _UNASKED:
+                rules[i] = guard(g, xs, T, zs, ws)
             if rules[i]:
                 yield self._rule(tag, xs, T, zs, ws, after)
         candidates = [n for n in g.observed_names if n not in T | O | D]
         for vs in _subsets(g, candidates):
+            if limit[0] < 2:
+                return
             yield 1, partial(_Marg, g.ordered(vs)), ((T | vs, O, D),)
         for ss in _subsets(g, T, proper=True):
+            if limit[0] < 3:
+                return
             yield (1, partial(_Chain, g.ordered(ss)),
                    ((T - ss, O | ss, D), (ss, O, D)))
 

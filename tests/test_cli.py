@@ -118,6 +118,23 @@ def test_dsep_json(files, capsys):
     assert doc["witness"] is None
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--x", "X,X", "--y", "Y"), "--x names 'X' twice"),
+    (("--x", "X", "--y", "Y, Y"), "--y names 'Y' twice"),
+    (("--x", "X", "--y", "Y", "--given", "Z,Z"), "--given names 'Z' twice"),
+    (("--x", "X", "--y", "Y", "--cut-incoming", "Z,Z"),
+     "--cut-incoming names 'Z' twice"),
+    (("--x", "X", "--y", "Y", "--cut-outgoing", "X,X"),
+     "--cut-outgoing names 'X' twice"),
+], ids=["x-twice", "y-twice", "given-twice", "cut-incoming-twice",
+        "cut-outgoing-twice"])
+def test_dsep_names_each_variable_once(files, capsys, argv, message):
+    code, out, err = run(capsys, "dsep", files["chain.graph"], *argv,
+                         "--json")
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 # -- identify -----------------------------------------------------------------
 
 def test_identify_frontdoor_text(files, capsys):

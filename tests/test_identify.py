@@ -313,7 +313,7 @@ def test_identify_frontdoor_full_derivation(frontdoor_graph):
 def test_identify_builds_each_cut_graph_once(monkeypatch):
     # graph surgery is memoized and trusted: after parsing, the search,
     # replay and verification build no graph through the validating
-    # constructor, and only 11 distinct cut graphs exist
+    # constructor, and only 10 distinct cut graphs exist
     g = parse_graph((DEMO / "frontdoor.graph").read_text())
     built, cuts = [], []
     init, mutilate = CausalGraph.__init__, CausalGraph.mutilate
@@ -332,17 +332,17 @@ def test_identify_builds_each_cut_graph_once(monkeypatch):
     res = identify(Query(g, ("X",), ("Y",)))
     assert res.status == IDENTIFIED
     assert built == []
-    assert len({id(c) for c in cuts}) == 11
-    assert len(cuts) > 11
+    assert len({id(c) for c in cuts}) == 10
+    assert len(cuts) > 10
 
 
 def _count_move_generations(monkeypatch):
     states = []
     moves = _Searcher._moves
 
-    def counting_moves(self, state):
+    def counting_moves(self, state, limit):
         states.append(state)
-        return moves(self, state)
+        return moves(self, state, limit)
 
     monkeypatch.setattr(_Searcher, "_moves", counting_moves)
     return states
@@ -360,7 +360,7 @@ def test_identify_generates_moves_in_one_pass(monkeypatch):
     g = parse_graph((DEMO / "frontdoor.graph").read_text())
     res = identify(Query(g, ("X",), ("Y",)))
     assert res.status == IDENTIFIED
-    assert (len(states), len(set(states))) == (15, 9)
+    assert (len(states), len(set(states))) == (13, 7)
 
 
 def test_stored_plan_refuses_a_smaller_cap_without_moves(monkeypatch):
@@ -390,7 +390,7 @@ def test_rule_moves_build_guards_only_for_built_plans(monkeypatch):
     g = parse_graph((DEMO / "frontdoor.graph").read_text())
     searcher = _Searcher(g)
     state = (frozenset({"Y"}), frozenset({"Z"}), frozenset({"X"}))
-    assert len(list(searcher._moves(state))) > 0
+    assert len(list(searcher._moves(state, [16]))) > 0
     assert built == []
     cost, plan = searcher.solve(state, 16)
     assert cost >= 1 and len(built) >= 1
@@ -462,10 +462,11 @@ def test_identify_runs_each_guard_once_per_state(monkeypatch, g, status):
 
 
 class _RecheckingSearcher(_Searcher):
-    """The search with every guard run again on every expansion: the
-    move generator as it reads without a verdict memo."""
+    """The unpruned reference search: no cost floors, so every move is
+    generated whatever the limit, and every guard is run again on every
+    expansion, as the move generator reads without a verdict memo."""
 
-    def _moves(self, state):
+    def _moves(self, state, limit):
         g = self.g
         T, O, D = state
         if not O:
@@ -499,8 +500,10 @@ class _RecheckingSearcher(_Searcher):
 
 @given(st.integers(0, 400))
 def test_verdict_memo_equals_rechecking_every_guard(seed):
-    # the memo only replays verdicts, so the search finds the same cost
-    # and plan at every budget as one that asks every guard again
+    # the memo only replays verdicts and the floors only leave out moves
+    # that cannot fit the limit, so the search finds the same cost and
+    # plan at every budget as one that generates every move and asks
+    # every guard again
     rng = random.Random(seed)
     g = random_dag(rng, n=rng.randint(3, 6), p=rng.uniform(0.3, 0.7),
                    latent=0.3)
@@ -512,6 +515,76 @@ def test_verdict_memo_equals_rechecking_every_guard(seed):
     for budget in range(1, 9):
         assert (_Searcher(g).solve(state, budget)
                 == _RecheckingSearcher(g).solve(state, budget))
+
+
+def test_cap_one_runs_only_the_guards_that_empty_d(monkeypatch):
+    # at cap 1 only a rule step that empties D can fit: the search asks
+    # rule 2 and rule 3 on all of D, calls neither set finder and
+    # generates no marg or chain move
+    module = importlib.import_module("causalid.identify")
+    asked = _count_guard_questions(monkeypatch)
+    finders = []
+    for name in ("find_backdoor_sets", "find_frontdoor_sets"):
+        def counting(g, X, Y, finder=getattr(module, name), name=name):
+            finders.append(name)
+            return finder(g, X, Y)
+
+        monkeypatch.setattr(module, name, counting)
+    yielded = []
+    moves = _Searcher._moves
+
+    def recording_moves(self, state, limit):
+        for move in moves(self, state, limit):
+            yielded.append(move)
+            yield move
+
+    monkeypatch.setattr(_Searcher, "_moves", recording_moves)
+    g = parse_graph((DEMO / "frontdoor.graph").read_text())
+    root = (frozenset({"Y"}), frozenset(), frozenset({"X"}))
+    assert _Searcher(g).solve(root, 1) is None
+    assert asked == [(root, "rule2", frozenset({"X"})),
+                     (root, "rule3", frozenset({"X"}))]
+    assert finders == []
+    assert yielded == []
+
+
+def _frontdoor_chain(k):
+    # U -> X, U -> Y, X -> M0 -> ... -> Mk-1 -> Y
+    chain = ["X", *(f"M{i}" for i in range(k)), "Y"]
+    return CausalGraph([("U", True), *chain],
+                       [("U", "X"), ("U", "Y"), *zip(chain, chain[1:])])
+
+
+def _backdoor_core(leaves):
+    # two observed confounders of X -> Y; leaves hang alternately off X
+    # and Y, so they are never ancestors of Y
+    es = [f"E{i}" for i in range(leaves)]
+    edges = [("C0", "X"), ("C0", "Y"), ("C1", "X"), ("C1", "Y"), ("X", "Y")]
+    edges += [("X" if i % 2 == 0 else "Y", e) for i, e in enumerate(es)]
+    return CausalGraph(["C0", "C1", "X", "Y", *es], edges)
+
+
+# p(Y, Z | do(X)) with Z confounding X and Y costs 3 only through a chain:
+# p(Y|Z, do(X)) by rule 2 and p(Z|do(X)) by rule 3
+CONFOUNDED_PAIR = CausalGraph(["Z", "X", "Y"],
+                              [("Z", "X"), ("Z", "Y"), ("X", "Y")])
+
+
+@pytest.mark.parametrize("g, outcome, cost", [
+    *((_backdoor_core(n), {"Y"}, 4) for n in range(4)),
+    *((_frontdoor_chain(k), {"Y"}, 9) for k in (1, 2, 3)),
+    (CONFOUNDED_PAIR, {"Y", "Z"}, 3),
+], ids=[*(f"backdoor-l{n}" for n in range(4)),
+        *(f"frontdoor-k{k}" for k in (1, 2, 3)), "confounded-pair"])
+def test_floors_keep_the_unpruned_plan(g, outcome, cost):
+    # pruned and unpruned searches find the same minimum plan, so the
+    # same derivation, below, at and above the cap the plan needs
+    root = (frozenset(outcome), frozenset(), frozenset({"X"}))
+    for budget in (cost - 1, cost, 16):
+        got = _Searcher(g).solve(root, budget)
+        assert got == _RecheckingSearcher(g).solve(root, budget)
+        assert (got is None) == (budget < cost)
+        assert got is None or got[0] == cost
 
 
 def test_searcher_and_memos_die_when_identify_returns(monkeypatch):

@@ -25,8 +25,9 @@ from .dsl import ParseError, parse_assignment, parse_graph, parse_model
 from .expr import (ExprError, evaluate, free_variables, parse, render,
                    base_name)
 from .graph import GraphError, ScaleError
-from .identify import (DEFAULT_BUDGET, IDENTIFIED, EngineInvariantError,
-                       Query, identify)
+from .identify import (DEFAULT_BUDGET, IDENTIFIED, KNOWN_NON_IDENTIFIABLE,
+                       NOT_WITHIN_BUDGET, EngineInvariantError, Query,
+                       identify)
 from .scm import ModelError, PositivityError
 
 SCHEMA = 1
@@ -61,10 +62,6 @@ def _emit_json(doc: dict) -> None:
     print(json.dumps(doc, indent=2))
 
 
-def _fr(x) -> str:
-    return str(x)
-
-
 # -- dsep ----------------------------------------------------------------
 
 def cmd_dsep(args) -> int:
@@ -95,11 +92,10 @@ def cmd_dsep(args) -> int:
 # -- identify --------------------------------------------------------------
 
 def _status_line(res) -> str:
-    if res.status == IDENTIFIED:
-        return f"IDENTIFIED ({res.budget_spent} steps)"
-    if res.status == "not-identified-within-budget":
-        return f"NOT-IDENTIFIED-WITHIN-BUDGET ({res.budget_spent})"
-    return "KNOWN-NON-IDENTIFIABLE"
+    detail = {IDENTIFIED: f" ({res.budget_spent} steps)",
+              NOT_WITHIN_BUDGET: f" ({res.budget_spent})",
+              KNOWN_NON_IDENTIFIABLE: ""}[res.status]
+    return res.status.upper() + detail
 
 
 def cmd_identify(args) -> int:
@@ -217,7 +213,7 @@ def cmd_eval(args) -> int:
             value = surgery.p(outcome)
         row = {"binding": {v: binding[v] for v in
                            list(fixed) + axis_vars},
-               "exact": _fr(value), "approx": float(value)}
+               "exact": str(value), "approx": float(value)}
         if args.check:
             if formula is not None:
                 if surgery is None:
@@ -229,7 +225,7 @@ def cmd_eval(args) -> int:
                 if truncated is None:
                     truncated = m.truncated(var, val).marginal(targets)
                 oracle = truncated.p(outcome)
-            row["check_diff"] = _fr(value - oracle)
+            row["check_diff"] = str(value - oracle)
         rows.append(row)
 
     if args.json:

@@ -11,21 +11,19 @@ rewrite derivation.  Three layers:
   asks the same d-separation question on its cut graph;
 * a budget-bounded search over rewrites (rules, marginalization
   insertion, chain splits, plus back-door/front-door closures as canned
-  step sequences) with one memo entry per canonical state.  Every move
-  has one shape, ``(own cost, plan builder, sub-states)``, and a rule
-  step's guard is built only when a plan is built through it.  A second
-  memo keeps each state's guard verdicts, so a state expanded again
-  replays its moves without asking a d-separation question twice; it
-  keeps no moves, whose sub-states would outlive the expansion.  Every
-  move has a cost floor, a lower bound on any plan through it (a state
-  with interventions left needs at least one more step), and a move
-  whose floor exceeds the current limit is left out before its guard
-  runs; ``_Searcher`` proves that this never changes the plan found.
+  step sequences) with one memo entry per canonical state.  It decides
+  on plain sets: every move has one shape, ``(own cost, plan builder,
+  sub-states)``, one table answers each guard question once per search,
+  and a move whose cost floor exceeds the current limit is left out
+  before its guard runs.  ``_Searcher`` proves that the floors never
+  change the plan found and that each closure's criterion implies the
+  guards of its plan.
 
 The search runs its d-separation guards on the full graph including
-latent nodes, but only observed variables ever enter a formula.  A
-returned formula is cross-checked against the graph-surgery oracle on
-random models before being reported; ``oracle_disagreement`` is that
+latent nodes, but only observed variables ever enter a formula.  The
+replay states each step's guard; before a formula is reported every
+guard is verified again and the formula is cross-checked against the
+graph-surgery oracle on random models.  ``oracle_disagreement`` is that
 check, shared with the corpus, and builds one oracle table per
 do-assignment.  Failure to identify within the budget is never reported
 as non-identifiability; only isomorphism with a catalog entry known to
@@ -58,7 +56,8 @@ KNOWN_NON_IDENTIFIABLE = "known-non-identifiable"
 
 
 class EngineInvariantError(Exception):
-    """A derived formula failed its oracle cross-check: engine defect."""
+    """A derivation failed a guard or its oracle cross-check: engine
+    defect."""
 
 
 @dataclass(frozen=True)
@@ -198,17 +197,14 @@ def frontdoor_formula(X, Y, Z) -> Expr:
 
 # -- do-calculus rule guards ---------------------------------------------
 
-def _rule_sets(g: CausalGraph, X, Y, Z, W):
+def _rule_sets(X, Y, Z, W):
+    """Rule 1's and rule 2's four sets.  The surgery and the separation
+    query check the names, a nonempty Y and Z, and every overlap but one:
+    X and W both go into the conditioning set, so their overlap is
+    checked here.  Rule 3 skips this, as its ``z_hat`` checks it."""
     xs, ys, zs, ws = (frozenset(X), frozenset(Y), frozenset(Z), frozenset(W))
-    for n in xs | ys | zs | ws:
-        g.index(n)
-    sets = [xs, ys, zs, ws]
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if sets[i] & sets[j]:
-                raise GraphError("rule sets must be pairwise disjoint")
-    if not ys or not zs:
-        raise GraphError("rule needs nonempty Y and Z")
+    if xs & ws:
+        raise GraphError("rule sets must be pairwise disjoint")
     return xs, ys, zs, ws
 
 
@@ -235,7 +231,7 @@ def _guard(rule: str, g: CausalGraph, xs, ys, zs, ws) -> GuardFact:
 def rule1_applicable(g: CausalGraph, X, Y, Z, W) -> bool:
     """May the observation z be dropped from p(y|do(x),z,w)?  Guard: Y and
     Z separated by X u W once edges into X are cut."""
-    xs, ys, zs, ws = _rule_sets(g, X, Y, Z, W)
+    xs, ys, zs, ws = _rule_sets(X, Y, Z, W)
     cut = g.mutilate(*_cuts("rule1", g, xs, zs, ws))
     return d_separated(cut, ys, zs, xs | ws)
 
@@ -244,7 +240,7 @@ def rule2_applicable(g: CausalGraph, X, Y, Z, W) -> bool:
     """May do(z) and the plain observation z be exchanged in
     p(y|do(x),do(z),w)?  Guard: Y and Z separated by X u W once edges
     into X and out of Z are cut."""
-    xs, ys, zs, ws = _rule_sets(g, X, Y, Z, W)
+    xs, ys, zs, ws = _rule_sets(X, Y, Z, W)
     cut = g.mutilate(*_cuts("rule2", g, xs, zs, ws))
     return d_separated(cut, ys, zs, xs | ws)
 
@@ -253,7 +249,7 @@ def rule3_applicable(g: CausalGraph, X, Y, Z, W) -> bool:
     """May the intervention do(z) be deleted from p(y|do(x),do(z),w)?
     Guard: Y and Z separated by X u W once edges into X and into the
     Z-nodes that are not ancestors of W (in the X-cut graph) are cut."""
-    xs, ys, zs, ws = _rule_sets(g, X, Y, Z, W)
+    xs, ys, zs, ws = frozenset(X), frozenset(Y), frozenset(Z), frozenset(W)
     cut = g.mutilate(*_cuts("rule3", g, xs, zs, ws))
     return d_separated(cut, ys, zs, xs | ws)
 
@@ -277,8 +273,12 @@ class _Done:
 
 @dataclass(frozen=True)
 class _Rule:
+    """A rule step, kept as its guard question ``(tag, X, Y, Z, W)`` with
+    Y the targets ``after[0]``; the replay states the guard."""
     tag: str
-    guard: GuardFact
+    xs: frozenset[str]
+    zs: frozenset[str]
+    ws: frozenset[str]
     after: State
     rest: object
 
@@ -314,10 +314,6 @@ def _subsets(g: CausalGraph, names, proper: bool = False):
             yield frozenset(c)
 
 
-# a rule verdict not asked yet; a guard's own answer is 0 or 1
-_UNASKED = 2
-
-
 class _Searcher:
     """Budget-bounded minimal-cost search over term states, in one
     depth-first branch-and-bound pass: each state tries every move,
@@ -345,7 +341,7 @@ class _Searcher:
     is offered only from limit 4: below that, its one plan that fits is
     the empty-set plan, a single rule 2 on all of ``D`` with nothing
     observed, which is the very plan of the rule-2 move on all of ``D``
-    (same guard, same state after); that move has floor 1, so it is
+    (same question, same state after); that move has floor 1, so it is
     generated, and no move before it costs 1 (the front-door plan costs
     9, rule steps on a proper part of ``D`` keep ``D``).  So by
     induction on the cap, ``solve(s, c)`` is the minimum-cost plan of
@@ -353,28 +349,44 @@ class _Searcher:
     whatever the memos hold: the plans, and so the derivations and
     ``budget_spent``, are those of the search without floors.
 
-    ``verdicts`` maps each state whose moves were generated to its guard
-    outcomes so far, ``(closure plans, rule verdicts)``.  The closure
-    plans (None when refused) are a prefix in generation order: the
-    front-door closure, floor 9, is reached only in an expansion that
-    passed the back-door one, floor 4, at the same limit.  The rule
-    verdicts are one byte per rule candidate, ``_UNASKED`` until the
-    candidate's guard runs; a candidate pruned by its floor leaves a
-    hole that a later expansion at a larger limit may fill.  A state is
-    expanded again after a failure at a smaller cap, and re-entered
-    while its own expansion is still on the stack (rule 2 turns do(z)
-    into z and back); every such expansion reads the verdicts already
-    found and adds to them, so it yields the moves that fit its limit in
-    generation order without running a guard twice.  Only verdicts are
-    kept, never moves: a move holds its sub-states, and keeping those
-    alive for every state costs more memory than regenerating the
+    ``verdicts`` answers each guard question ``(rule, X, Y, Z, W)`` and
+    holds each closure's plan (None when refused) under ``(kind,
+    state)``, once per search.  A state is expanded again after a failure
+    at a smaller cap or while its own expansion is on the stack (rule 2
+    turns do(z) into z and back), and two states may ask one question;
+    every expansion reads the answers found so far, so it yields the
+    moves that fit its limit in generation order and no guard runs
+    twice.  Answers are kept, never moves: a move holds its sub-states,
+    and keeping those alive costs more memory than regenerating the
     unguarded ``marg`` and ``chain`` moves costs time.  Both memos live
-    and die with the searcher, one per ``identify``."""
+    and die with the searcher, one per ``identify``.
+
+    No ``GuardFact`` is built here: a plan keeps each rule step's
+    question, and the replay states its guard.  A closure offers its plan
+    exactly when its set finder returns a set, as the criterion implies
+    every guard of the plan.  Back door, zs for D on T: rule 2 exchanging
+    do(D) for D given zs asks whether T and D are separated by zs once
+    edges out of D are cut, the criterion's separation condition with
+    the same cut and sets.  Rule 3 deleting do(D) from p(zs|do(D)) cuts
+    edges into D and conditions on nothing, so an open path has no
+    collider and runs directed out of D: it reaches zs only if a member
+    of zs descends from D, which condition 1 rules out.  Front door,
+    mediators zs: the outer rule 2 (zs to do(zs) in p(T|zs,do(D))) asks
+    condition 3's question with edges into D cut too, and a subgraph
+    separates whatever the graph separates (its open paths are open in
+    the graph).  The outer rule 3 (deleting do(D) from p(T|do(zs),do(D)))
+    cuts edges into zs and D and conditions on zs, so no collider is
+    open, every open path out of D is directed, and by condition 1 it
+    meets zs, which blocks it.  The inner back-door plan of p(T|do(zs))
+    adjusted for D has condition 3 as its separation, and no member of D
+    descends from zs, as that directed path would open condition 2's
+    query; p(zs|do(D)) adjusted for nothing has condition 2 as its
+    separation.  ``identify`` still verifies every recorded guard."""
 
     def __init__(self, g: CausalGraph):
         self.g = g
         self.memo: dict[State, tuple[int, tuple[int, object] | None]] = {}
-        self.verdicts: dict[State, tuple[list, bytearray]] = {}
+        self.verdicts: dict[tuple, object] = {}
 
     def solve(self, state: State, cap: int):
         if not state[2]:
@@ -421,34 +433,29 @@ class _Searcher:
         floors are the class docstring's: back-door closure 4, front-door
         closure 9, a rule step 1 when it empties ``D`` and 2 otherwise,
         ``marg`` 2 and ``chain`` 3."""
-        g = self.g
+        g, verdicts = self.g, self.verdicts
         T, O, D = state
-        known = self.verdicts.get(state)
-        if known is None:
-            # two rule candidates per nonempty part of D and of O
-            parts = (1 << len(D)) - 1 + (1 << len(O)) - 1
-            known = self.verdicts[state] = (
-                [], bytearray([_UNASKED]) * (2 * parts))
-        closures, rules = known
         if not O:
-            closures_by_floor = ((4, self._backdoor_closure),
-                                 (9, self._frontdoor_closure))
-            for i, (floor, closure) in enumerate(closures_by_floor):
+            closures = ((4, "backdoor", self._backdoor_closure),
+                        (9, "frontdoor", self._frontdoor_closure))
+            for floor, kind, closure in closures:
                 if floor > limit[0]:
                     break
-                if i == len(closures):
-                    closures.append(closure(T, D))
-                plan = closures[i]
+                key = (kind, state)
+                if key not in verdicts:
+                    verdicts[key] = closure(T, D)
+                plan = verdicts[key]
                 if plan is not None:
                     yield _plan_cost(plan), (lambda p=plan: p), ()
-        steps = self._rule_steps(state)
-        for i, (tag, guard, xs, zs, ws, after) in enumerate(steps):
+        for tag, guard, xs, zs, ws, after in self._rule_steps(state):
             if after[2] and limit[0] < 2:
                 continue
-            if rules[i] == _UNASKED:
-                rules[i] = guard(g, xs, T, zs, ws)
-            if rules[i]:
-                yield self._rule(tag, xs, T, zs, ws, after)
+            question = (tag, xs, T, zs, ws)
+            holds = verdicts.get(question)
+            if holds is None:
+                holds = verdicts[question] = guard(g, xs, T, zs, ws)
+            if holds:
+                yield 1, partial(_Rule, tag, xs, zs, ws, after), (after,)
         candidates = [n for n in g.observed_names if n not in T | O | D]
         for vs in _subsets(g, candidates):
             if limit[0] < 2:
@@ -478,58 +485,40 @@ class _Searcher:
         for zs in _subsets(g, O):
             yield "rule1", rule1_applicable, D, zs, O - zs, (T, O - zs, D)
 
-    def _rule(self, tag, xs, ys, zs, ws, after: State):
-        """One guarded rule step, then the state it leads to.  The
-        builder makes the step's ``GuardFact``: only a built plan has one."""
-        g = self.g
-        return 1, (lambda rest: _Rule(tag, _guard(tag, g, xs, ys, zs, ws),
-                                      after, rest)), (after,)
-
     # canned closures: the canonical adjustment derivations as fixed
-    # primitive-step plans, offered only when every licensing guard holds
+    # primitive-step plans, offered whenever the criterion's set finder
+    # returns a set (the class docstring proves the guards hold)
 
     def _backdoor_closure(self, T, D):
         sets = find_backdoor_sets(self.g, D, T)
         return self._backdoor_plan(T, D, sets[0]) if sets else None
 
     def _backdoor_plan(self, T, D, zs):
-        """sum_zs p(T|D,zs) p(zs) for p(T|do(D)) by rule 2 on do(D) given
-        zs and rule 3 on p(zs|do(D)); None when either guard fails."""
-        g = self.g
-        exchange = _guard("rule2", g, frozenset(), T, D, zs)
-        if not exchange.verify(g):
-            return None
+        """sum_zs p(T|D,zs) p(zs) for p(T|do(D)): rule 2 on do(D) given zs
+        and rule 3 on p(zs|do(D))."""
+        g, none = self.g, frozenset()
         if not zs:
-            return _Rule("rule2", exchange, (T, D, frozenset()), _Done())
-        drop = _guard("rule3", g, frozenset(), zs, D, frozenset())
-        if not drop.verify(g):
-            return None
+            return _Rule("rule2", none, D, zs, (T, D, none), _Done())
         return _Marg(g.ordered(zs), _Chain(
             g.ordered(zs),
-            _Rule("rule2", exchange, (T, zs | D, frozenset()), _Done()),
-            _Rule("rule3", drop, (zs, frozenset(), frozenset()), _Done()),
+            _Rule("rule2", none, D, zs, (T, zs | D, none), _Done()),
+            _Rule("rule3", none, D, none, (zs, none, none), _Done()),
         ))
 
     def _frontdoor_closure(self, T, D):
         """Two back-door plans joined by rule 2 and rule 3: in p(T|zs,
         do(D)), rule 2 makes zs do(zs) and rule 3 deletes do(D), leaving
         p(T|do(zs)) adjusted for D; p(zs|do(D)) is adjusted for nothing."""
-        g = self.g
+        g, none = self.g, frozenset()
         sets = find_frontdoor_sets(g, D, T)
         if not sets:
             return None
         zs = sets[0]
-        add = _guard("rule2", g, D, T, zs, frozenset())
-        drop = _guard("rule3", g, zs, T, D, frozenset())
-        if not (add.verify(g) and drop.verify(g)):
-            return None
-        inner = self._backdoor_plan(T, zs, D)
-        second = self._backdoor_plan(zs, D, frozenset()) if inner else None
-        if second is None:
-            return None
-        first = _Rule("rule2", add, (T, frozenset(), D | zs),
-                      _Rule("rule3", drop, (T, frozenset(), zs), inner))
-        return _Marg(g.ordered(zs), _Chain(g.ordered(zs), first, second))
+        first = _Rule("rule2", D, zs, none, (T, none, D | zs),
+                      _Rule("rule3", zs, D, none, (T, none, zs),
+                            self._backdoor_plan(T, zs, D)))
+        return _Marg(g.ordered(zs), _Chain(
+            g.ordered(zs), first, self._backdoor_plan(zs, D, none)))
 
 
 # -- plan replay into a concrete derivation --------------------------------
@@ -577,7 +566,8 @@ class _Replayer:
             new_term = ProbTerm(tuple(names[b] for b in T),
                                 tuple(names[b] for b in O),
                                 tuple(names[b] for b in D))
-            self._emit(plan.tag, plan.guard, path, new_term)
+            guard = _guard(plan.tag, self.g, plan.xs, T, plan.zs, plan.ws)
+            self._emit(plan.tag, guard, path, new_term)
             self.run(plan.rest, path)
         elif isinstance(plan, _Marg):
             taken = set(used_names(self.root))
@@ -676,12 +666,12 @@ def identify(query: Query,
     replay = _Replayer(g, root)
     replay.run(got[1], ())
     formula = tidy(replay.root)
-    _verify(query, formula)
+    _verify(query, formula, replay.steps)
     return IdentificationResult(IDENTIFIED, formula,
                                 tuple(replay.steps), got[0])
 
 
-def _verify(query: Query, formula: Expr) -> None:
+def _verify(query: Query, formula: Expr, steps) -> None:
     if not is_do_free(formula):
         raise EngineInvariantError("search returned a formula with "
                                    "interventions left")
@@ -691,6 +681,11 @@ def _verify(query: Query, formula: Expr) -> None:
     if latent_refs:
         raise EngineInvariantError(
             f"formula mentions latent variables {sorted(latent_refs)}")
+    for i, step in enumerate(steps, 1):
+        if step.guard is not None and not step.guard.verify(g):
+            raise EngineInvariantError(
+                f"derivation step {i} ({step.rule}) has a failing guard "
+                f"{step.guard.render()}")
     for seed in range(1, VERIFY_MODELS + 1):
         m = random_model(g, random.Random(seed))
         bad = oracle_disagreement(formula, m, query.treatment,

@@ -1,6 +1,7 @@
 import gc
 import importlib
 import random
+import re
 import sys
 import weakref
 from fractions import Fraction as F
@@ -21,10 +22,11 @@ from causalid import (IDENTIFIED, KNOWN_NON_IDENTIFIABLE,
                       rule2_applicable, rule3_applicable, run_entry,
                       unavailable)
 from causalid.dsl import parse_graph
-from causalid.expr import GuardFact, alpha_equal
-from causalid.identify import (_Chain, _Marg, _plan_cost, _role_isomorphic,
-                               _Searcher, _subsets, find_frontdoor_sets,
-                               oracle_disagreement)
+from causalid.expr import GuardFact, ProbTerm, alpha_equal
+from causalid.identify import (EngineInvariantError, _Chain, _Marg,
+                               _plan_cost, _Replayer, _role_isomorphic,
+                               _Rule, _Searcher, _subsets,
+                               find_frontdoor_sets, oracle_disagreement)
 
 from conftest import random_dag
 
@@ -287,6 +289,69 @@ def test_frontdoor_admissible_matches_textbook_definition(seed):
                 _textbook_frontdoor(g, xs, ys, zs)
 
 
+_WELL_FORMED = {"X": {"A"}, "Y": {"B"}, "Z": {"C"}, "W": {"D"}}
+_MALFORMED = {
+    **{f"unknown-{k}": {k: _WELL_FORMED[k] | {"Q"}} for k in "XYZW"},
+    "empty-Y": {"Y": set()},
+    "empty-Z": {"Z": set()},
+    **{f"overlap-{a}{b}": {a: _WELL_FORMED[a] | _WELL_FORMED[b]}
+       for a, b in combinations("XYZW", 2)},
+}
+
+
+@pytest.mark.parametrize("change", _MALFORMED.values(), ids=_MALFORMED)
+@pytest.mark.parametrize("rule", [rule1_applicable, rule2_applicable,
+                                  rule3_applicable],
+                         ids=["rule1", "rule2", "rule3"])
+def test_rule_guards_reject_malformed_sets(rule, change):
+    # the guards check only X against W themselves; the surgery and the
+    # separation query reject every other malformed shape
+    g = CausalGraph(["A", "B", "C", "D"],
+                    [("A", "B"), ("C", "B"), ("D", "C")])
+    sets = {**_WELL_FORMED, **change}
+    rule(g, *(_WELL_FORMED[k] for k in "XYZW"))
+    with pytest.raises(GraphError):
+        rule(g, *(sets[k] for k in "XYZW"))
+
+
+def _plan_rules(plan):
+    # every rule step of a plan
+    if isinstance(plan, _Rule):
+        yield plan
+    for part in ("rest", "first", "second"):
+        if hasattr(plan, part):
+            yield from _plan_rules(getattr(plan, part))
+
+
+@given(st.integers(0, 3000))
+def test_closure_plans_satisfy_every_guard(seed):
+    # a closure offers its plan whenever its set finder returns a set,
+    # checking no guard: every rule step of the plan holds by Pearl's
+    # definition, and so does every guard its replay records
+    rng = random.Random(seed)
+    g = random_dag(rng, n=rng.randint(3, 8), p=rng.uniform(0.2, 0.6),
+                   latent=0.3)
+    if len(g.observed_names) < 2:
+        return
+    searcher = _Searcher(g)
+    for _ in range(6):
+        ts, ds = _random_parts(rng, g.observed_names, 2, 2)
+        for plan in (searcher._backdoor_closure(ts, ds),
+                     searcher._frontdoor_closure(ts, ds)):
+            if plan is None:
+                continue
+            for step in _plan_rules(plan):
+                assert _textbook_rule(int(step.tag[-1]), g, step.xs,
+                                      step.after[0], step.zs, step.ws)
+            replay = _Replayer(g, ProbTerm(g.ordered(ts), (),
+                                           g.ordered(ds)))
+            replay.run(plan, ())
+            for fact in (s.guard for s in replay.steps if s.guard):
+                cut = _textbook_cut(g, fact.cut_incoming, fact.cut_outgoing)
+                assert d_separated_exhaustive(cut, fact.left, fact.right,
+                                              fact.given)
+
+
 # -- the search ---------------------------------------------------------------
 
 def test_identify_frontdoor_full_derivation(frontdoor_graph):
@@ -377,8 +442,8 @@ def test_stored_plan_refuses_a_smaller_cap_without_moves(monkeypatch):
 
 
 def test_rule_moves_build_guards_only_for_built_plans(monkeypatch):
-    # with observations present no closure is offered, and a rule move
-    # makes its GuardFact only when a plan is built through it
+    # the search decides on plain sets and builds no GuardFact; the
+    # replay builds exactly one per guarded step of the derivation
     module = importlib.import_module("causalid.identify")
     built = []
 
@@ -391,9 +456,13 @@ def test_rule_moves_build_guards_only_for_built_plans(monkeypatch):
     searcher = _Searcher(g)
     state = (frozenset({"Y"}), frozenset({"Z"}), frozenset({"X"}))
     assert len(list(searcher._moves(state, [16]))) > 0
+    root = (frozenset({"Y"}), frozenset(), frozenset({"X"}))
+    assert searcher.solve(root, 16)[0] == 9
     assert built == []
-    cost, plan = searcher.solve(state, 16)
-    assert cost >= 1 and len(built) >= 1
+    res = identify(Query(g, ("X",), ("Y",)))
+    guards = [s.guard for s in res.derivation if s.guard is not None]
+    assert len(guards) == len(built) == 5
+    assert [GuardFact(*args) for args in built] == guards
 
 
 @given(st.integers(0, 400))
@@ -421,9 +490,9 @@ def test_single_pass_equals_iterative_deepening(seed):
 
 
 def _count_guard_questions(monkeypatch):
-    # (state, rule, Z) of every rule guard the search runs, through the
-    # module-global names that a tracer rebinds; the state is read off
-    # the move generator that asks
+    # (state, (rule, X, Y, Z, W)) of every rule guard the search runs,
+    # through the module-global names that a tracer rebinds; the state
+    # is read off the move generator that asks
     module = importlib.import_module("causalid.identify")
     asked = []
     for tag in ("rule1", "rule2", "rule3"):
@@ -433,7 +502,8 @@ def _count_guard_questions(monkeypatch):
             frame = sys._getframe(1)
             while frame.f_code.co_name != "_moves":
                 frame = frame.f_back
-            asked.append((frame.f_locals["state"], tag, frozenset(Z)))
+            question = (tag, *map(frozenset, (X, Y, Z, W)))
+            asked.append((frame.f_locals["state"], question))
             return guard(g, X, Y, Z, W)
 
         monkeypatch.setattr(module, f"{tag}_applicable", counting)
@@ -445,20 +515,28 @@ BOW_WITH_INSTRUMENT_AND_LEAF = CausalGraph(
     bidirected=[("X", "Y")])
 
 
-@pytest.mark.parametrize("g, status", [
-    (parse_graph((DEMO / "frontdoor.graph").read_text()), IDENTIFIED),
-    (BOW_WITH_INSTRUMENT_AND_LEAF, NOT_WITHIN_BUDGET),
+@pytest.mark.parametrize("g, status, calls", [
+    (parse_graph((DEMO / "frontdoor.graph").read_text()), IDENTIFIED, 21),
+    (BOW_WITH_INSTRUMENT_AND_LEAF, NOT_WITHIN_BUDGET, None),
 ], ids=["frontdoor", "bow-instrument-leaf"])
-def test_identify_runs_each_guard_once_per_state(monkeypatch, g, status):
+def test_identify_runs_each_guard_once_per_state(monkeypatch, g, status,
+                                                 calls):
     # states are expanded again (after a failure at a smaller cap, or
-    # while their own expansion is on the stack), but every expansion
-    # reads the verdicts found so far instead of asking again
+    # while their own expansion is on the stack), and two states may ask
+    # one question, but every guard question (rule, X, Y, Z, W) is asked
+    # once per identify
     asked = _count_guard_questions(monkeypatch)
     states = _count_move_generations(monkeypatch)
     assert identify(Query(g, ("X",), ("Y",))).status == status
     assert len(states) > len(set(states))
-    assert {tag for _, tag, _ in asked} == {"rule1", "rule2", "rule3"}
-    assert len(asked) == len(set(asked))
+    questions = [q for _, q in asked]
+    assert {q[0] for q in questions} == {"rule1", "rule2", "rule3"}
+    assert len(questions) == len(set(questions))
+    assert calls is None or len(questions) == calls
+
+
+def _rule_move(tag, xs, zs, ws, after):
+    return 1, partial(_Rule, tag, xs, zs, ws, after), (after,)
 
 
 class _RecheckingSearcher(_Searcher):
@@ -477,19 +555,19 @@ class _RecheckingSearcher(_Searcher):
         for zs in _subsets(g, D):
             xs = D - zs
             if rule2_applicable(g, xs, T, zs, O):
-                yield self._rule("rule2", xs, T, zs, O, (T, O | zs, xs))
+                yield _rule_move("rule2", xs, zs, O, (T, O | zs, xs))
         for zs in _subsets(g, D):
             xs = D - zs
             if rule3_applicable(g, xs, T, zs, O):
-                yield self._rule("rule3", xs, T, zs, O, (T, O, xs))
+                yield _rule_move("rule3", xs, zs, O, (T, O, xs))
         for zs in _subsets(g, O):
             ws = O - zs
             if rule2_applicable(g, D, T, zs, ws):
-                yield self._rule("rule2", D, T, zs, ws, (T, ws, D | zs))
+                yield _rule_move("rule2", D, zs, ws, (T, ws, D | zs))
         for zs in _subsets(g, O):
             ws = O - zs
             if rule1_applicable(g, D, T, zs, ws):
-                yield self._rule("rule1", D, T, zs, ws, (T, ws, D))
+                yield _rule_move("rule1", D, zs, ws, (T, ws, D))
         candidates = [n for n in g.observed_names if n not in T | O | D]
         for vs in _subsets(g, candidates):
             yield 1, partial(_Marg, g.ordered(vs)), ((T | vs, O, D),)
@@ -542,8 +620,9 @@ def test_cap_one_runs_only_the_guards_that_empty_d(monkeypatch):
     g = parse_graph((DEMO / "frontdoor.graph").read_text())
     root = (frozenset({"Y"}), frozenset(), frozenset({"X"}))
     assert _Searcher(g).solve(root, 1) is None
-    assert asked == [(root, "rule2", frozenset({"X"})),
-                     (root, "rule3", frozenset({"X"}))]
+    none, x, y = frozenset(), frozenset({"X"}), frozenset({"Y"})
+    assert asked == [(root, ("rule2", none, y, x, none)),
+                     (root, ("rule3", none, y, x, none))]
     assert finders == []
     assert yielded == []
 
@@ -568,6 +647,24 @@ def _backdoor_core(leaves):
 # p(Y|Z, do(X)) by rule 2 and p(Z|do(X)) by rule 3
 CONFOUNDED_PAIR = CausalGraph(["Z", "X", "Y"],
                               [("Z", "X"), ("Z", "Y"), ("X", "Y")])
+
+
+@pytest.mark.parametrize("offered, failing", [
+    (frozenset(), "step 1 (rule2)"),
+    (frozenset({"M"}), "step 3 (rule3)"),
+], ids=["empty-set", "mediator"])
+def test_identify_rejects_a_plan_whose_guard_fails(monkeypatch, offered,
+                                                   failing):
+    # the back-door closure trusts its set finder; a finder that offers
+    # an inadmissible set is caught by identify, which re-verifies every
+    # recorded guard and names the first step whose guard fails
+    module = importlib.import_module("causalid.identify")
+    monkeypatch.setattr(module, "find_backdoor_sets",
+                        lambda g, X, Y: [offered])
+    g = CausalGraph(["Z", "X", "M", "Y"],
+                    [("Z", "X"), ("Z", "Y"), ("X", "M"), ("M", "Y")])
+    with pytest.raises(EngineInvariantError, match=re.escape(failing)):
+        identify(Query(g, ("X",), ("Y",)))
 
 
 @pytest.mark.parametrize("g, outcome, cost", [

@@ -264,6 +264,32 @@ class CausalGraph:
         g._cuts = {}
         return g
 
+    def ancestral(self, names: Iterable[str]) -> CausalGraph:
+        """The subgraph induced on ``names`` and their ancestors, latents
+        included, with declaration order and latent flags kept; ``self``
+        when that is every node.
+
+        An ancestral set keeps every parent of its members, so the
+        induced subgraph of a valid DAG is a valid DAG and is built
+        without revalidating, as a cut graph is."""
+        seeds = frozenset(names)
+        keep = seeds | self.ancestors(seeds)
+        if len(keep) == len(self.names):
+            return self
+        g = object.__new__(CausalGraph)
+        g.variables = tuple(v for v in self.variables if v.name in keep)
+        g.names = tuple(v.name for v in g.variables)
+        g._index = {n: i for i, n in enumerate(g.names)}
+        g.latent_names = self.latent_names & keep
+        g.observed_names = tuple(n for n in self.observed_names if n in keep)
+        # the tail of an edge into a kept node is kept
+        g.edges = tuple(e for e in self.edges if e[1] in keep)
+        g._parents = {n: self._parents[n] for n in g.names}
+        g._children = {n: self._children[n] & keep for n in g.names}
+        g._topo = None
+        g._cuts = {}
+        return g
+
     def with_edge(self, tail: str, head: str) -> CausalGraph:
         self.index(tail)
         self.index(head)

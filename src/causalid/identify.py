@@ -22,12 +22,25 @@ rewrite derivation.  Three layers:
 The search runs its d-separation guards on the full graph including
 latent nodes, but only observed variables ever enter a formula.  The
 replay states each step's guard; before a formula is reported every
-guard is verified again and the formula is cross-checked against the
-graph-surgery oracle on random models.  ``oracle_disagreement`` is that
-check, shared with the corpus, and builds one oracle table per
-do-assignment.  Failure to identify within the budget is never reported
-as non-identifiability; only isomorphism with a catalog entry known to
-be non-identifiable yields that verdict.
+guard is verified again on the query graph G and the formula is
+cross-checked against the graph-surgery oracle on random models.
+``oracle_disagreement`` is that check, shared with the corpus, and
+builds one oracle table per do-assignment.
+
+The random models are models of the ancestral submodel G[A], where A is
+X u Y and every base name the formula reads, closed under ancestors
+(latents included), not of G.  The check is as strong: the nodes outside
+A are never parents of nodes in A, so a model of G[A] extends to a model
+of G whose extra factors sum out, with the same A-marginal and the same
+p(y|do(x)); conversely the A-marginal of every model of G is a model of
+G[A] (Lauritzen, Dawid, Larsen & Leimer, Networks 1990).  The formula
+reads only names in A, so it agrees with the oracle on every model of G
+exactly when it does on every model of G[A], and leaves and other
+non-ancestors never enlarge the oracle tables.
+
+Failure to identify within the budget is never reported as
+non-identifiability; only isomorphism with a catalog entry known to be
+non-identifiable yields that verdict.
 """
 
 from __future__ import annotations
@@ -647,7 +660,7 @@ def identify(query: Query,
 
     ``budget`` caps the number of derivation steps.  On success the
     formula is evaluated against the surgery oracle on ``VERIFY_MODELS``
-    random models and must agree exactly.
+    random models of the ancestral submodel and must agree exactly.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -676,8 +689,8 @@ def _verify(query: Query, formula: Expr, steps) -> None:
         raise EngineInvariantError("search returned a formula with "
                                    "interventions left")
     g = query.graph
-    latent_refs = {base_name(n) for n in used_names(formula)} \
-        & set(g.latent_names)
+    read = {base_name(n) for n in used_names(formula)}
+    latent_refs = read & g.latent_names
     if latent_refs:
         raise EngineInvariantError(
             f"formula mentions latent variables {sorted(latent_refs)}")
@@ -686,8 +699,10 @@ def _verify(query: Query, formula: Expr, steps) -> None:
             raise EngineInvariantError(
                 f"derivation step {i} ({step.rule}) has a failing guard "
                 f"{step.guard.render()}")
+    # the oracle check needs only the ancestral submodel (module docstring)
+    sub = g.ancestral(read.union(query.treatment, query.outcome))
     for seed in range(1, VERIFY_MODELS + 1):
-        m = random_model(g, random.Random(seed))
+        m = random_model(sub, random.Random(seed))
         bad = oracle_disagreement(formula, m, query.treatment,
                                   query.outcome)
         if bad is not None:

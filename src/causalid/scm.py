@@ -477,20 +477,27 @@ class DiscreteModel:
     def intervene(self, assignments: Mapping[str, Value]) -> DiscreteModel:
         """Graph surgery: cut edges into the assigned variables and pin
         their mechanisms to point masses.  Repeated intervention on the
-        same variable keeps the last value."""
+        same variable keeps the last value.
+
+        The surgered model is built without revalidating: every kept row
+        was validated when ``self`` was built, and a point-mass row is
+        exact by construction."""
         for n, v in assignments.items():
             self.graph.index(n)
             if v not in self.domains[n]:
                 raise ModelError(f"{v!r} not in domain of {n!r}")
         if not assignments:
             return self
-        g = self.graph.mutilate(cut_incoming=assignments)
-        mechs = dict(self.mechanisms)
+        m = object.__new__(DiscreteModel)
+        m.graph = self.graph.mutilate(cut_incoming=assignments)
+        m.domains = self.domains
+        m.mechanisms = dict(self.mechanisms)
         for n, v in assignments.items():
             row = tuple(Fraction(1) if d == v else Fraction(0)
                         for d in self.domains[n])
-            mechs[n] = Mechanism(n, (), {(): row})
-        return DiscreteModel(g, self.domains, mechs)
+            m.mechanisms[n] = Mechanism(n, (), {(): row})
+        m._joint = None
+        return m
 
     def do_marginal(self, do: Mapping[str, Value],
                     targets: Iterable[str]) -> JointDistribution:

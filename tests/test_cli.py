@@ -163,6 +163,24 @@ def test_identify_budget_one(files, capsys):
     assert "NOT-IDENTIFIED-WITHIN-BUDGET (1)" in out
 
 
+def test_identify_ignores_leaves_that_would_overflow_the_joint(tmp_path,
+                                                             capsys):
+    # X -> Y plus 20 leaves: 22 binary nodes would need a 2^22-cell joint,
+    # over the cell budget, but the oracle check runs on G[An(X u Y)]
+    leaves = [f"E{i}" for i in range(20)]
+    g = tmp_path / "leaves.graph"
+    g.write_text("".join(f"var {n}\n" for n in ["X", "Y", *leaves])
+                 + "edge X -> Y\n"
+                 + "".join(f"edge {'X' if i % 2 == 0 else 'Y'} -> {e}\n"
+                           for i, e in enumerate(leaves)))
+    code, out, err = run(capsys, "identify", str(g), "--x", "X", "--y", "Y",
+                         "--json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert (doc["status"], doc["budget_spent"], doc["formula"]) == \
+        ("identified", 1, "p(Y|X)")
+
+
 def test_identify_latent_treatment_is_error(files, capsys):
     code, out, err = run(capsys, "identify", files["frontdoor.graph"],
                          "--x", "U", "--y", "Y")

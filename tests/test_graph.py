@@ -325,3 +325,68 @@ def test_mutilate_memo_shared_across_threads():
     assert bad == []
     assert all(g.mutilate(ci, co) is g.mutilate(set(ci), set(co))
                for ci, co in cuts)
+
+
+# -- ancestral subgraph --------------------------------------------------------
+
+def test_ancestral_keeps_order_latents_and_edges():
+    # W is declared first and is a leaf of X; Z's ancestors keep their
+    # declaration order, U stays latent, and edges out of the kept set
+    # drop out
+    g = CausalGraph(["W", ("U", True), "X", "Z", "Y", "L"],
+                    [("X", "W"), ("U", "X"), ("U", "Y"), ("X", "Z"),
+                     ("Z", "Y"), ("Z", "L")])
+    h = g.ancestral({"Z"})
+    assert h.names == ("U", "X", "Z")
+    assert h.latent_names == frozenset({"U"})
+    assert h.observed_names == ("X", "Z")
+    assert h.edges == (("U", "X"), ("X", "Z"))
+    assert h.children("X") == frozenset({"Z"})
+    _assert_same_graph(h, CausalGraph([("U", True), "X", "Z"],
+                                      [("U", "X"), ("X", "Z")]))
+    assert g.ancestral(["Y", "W"]) == CausalGraph(
+        ["W", ("U", True), "X", "Z", "Y"],
+        [("X", "W"), ("U", "X"), ("U", "Y"), ("X", "Z"), ("Z", "Y")])
+
+
+def test_ancestral_of_a_closed_set_is_the_graph(frontdoor_graph, collider):
+    assert frontdoor_graph.ancestral({"Y"}) is frontdoor_graph
+    assert collider.ancestral(["Z"]) is collider
+    assert collider.ancestral(collider.names) is collider
+
+
+def test_ancestral_rejects_unknown_names(chain):
+    with pytest.raises(GraphError, match="'Q'"):
+        chain.ancestral({"X", "Q"})
+
+
+def test_ancestral_builds_no_graph_through_the_constructor(monkeypatch,
+                                                           chain):
+    built = []
+    init = CausalGraph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CausalGraph, "__init__", counting_init)
+    assert chain.ancestral({"Z"}).names == ("X", "Z")
+    assert built == []
+
+
+@given(st.data())
+def test_ancestral_equals_full_construction(data):
+    g = data.draw(dags())
+    seeds = data.draw(st.sets(st.sampled_from(g.names)))
+    keep = seeds | g.ancestors(seeds)
+    h = g.ancestral(seeds)
+    _assert_same_graph(h, CausalGraph(
+        [v for v in g.variables if v.name in keep],
+        [(t, u) for t, u in g.edges if t in keep and u in keep]))
+    assert (h is g) == (keep == set(g.names))
+    assert h.ancestral(seeds) is h
+    # cut graphs of the subgraph are its own
+    cut_in = data.draw(st.sets(st.sampled_from(h.names))) if h.names \
+        else set()
+    _assert_same_graph(h.mutilate(cut_in), CausalGraph(
+        h.variables, [(t, u) for t, u in h.edges if u not in cut_in]))

@@ -25,7 +25,7 @@ from causalid.dsl import parse_graph
 from causalid.expr import GuardFact, ProbTerm, alpha_equal
 from causalid.identify import (EngineInvariantError, _Chain, _Marg,
                                _plan_cost, _Replayer, _role_isomorphic,
-                               _Rule, _Searcher, _subsets,
+                               _Rule, _Searcher, _subsets, _verify,
                                find_frontdoor_sets, oracle_disagreement)
 
 from conftest import random_dag
@@ -665,6 +665,80 @@ def test_identify_rejects_a_plan_whose_guard_fails(monkeypatch, offered,
                     [("Z", "X"), ("Z", "Y"), ("X", "M"), ("M", "Y")])
     with pytest.raises(EngineInvariantError, match=re.escape(failing)):
         identify(Query(g, ("X",), ("Y",)))
+
+
+def _with_leaves(g, rng, count):
+    # ``count`` new nodes, some latent, each a child of one or two nodes
+    # of ``g``: they are never ancestors of anything
+    variables, edges = list(g.variables), list(g.edges)
+    for i in range(count):
+        leaf = f"L{i}"
+        variables.append((leaf, rng.random() < 0.3))
+        edges += [(p, leaf) for p in rng.sample(g.names, rng.randint(1, 2))]
+    return CausalGraph(variables, edges)
+
+
+def _outcome(res):
+    return (res.status, res.budget_spent, repr(res.derivation),
+            None if res.formula is None else render(res.formula))
+
+
+@given(st.integers(0, 2000))
+def test_non_ancestor_leaves_leave_identify_unchanged(seed):
+    # no minimum plan needs a node that is not an ancestor of X or Y,
+    # and the verifier's random models cover only the ancestral
+    # submodel, so the result is the same with or without the leaves;
+    # the catalog matches shapes node for node, so a catalog verdict may
+    # turn into a budget verdict, never into success
+    rng = random.Random(seed)
+    g = random_dag(rng, n=rng.randint(3, 6), p=rng.uniform(0.3, 0.7),
+                   latent=0.3)
+    effect = _random_effect(rng, g)
+    if effect is None:
+        return
+    xs, ys = effect
+    leafy = _with_leaves(g, rng, rng.randint(1, 2))
+    bare = identify(Query(g, tuple(xs), tuple(ys)), budget=9)
+    got = identify(Query(leafy, tuple(xs), tuple(ys)), budget=9)
+    if bare.status == KNOWN_NON_IDENTIFIABLE:
+        assert got.status in (KNOWN_NON_IDENTIFIABLE, NOT_WITHIN_BUDGET)
+        return
+    assert _outcome(got) == _outcome(bare)
+
+
+def _x_to_y_with_leaves(leaves):
+    # X -> Y with leaves hung alternately off X and Y
+    es = [f"E{i}" for i in range(leaves)]
+    return CausalGraph(["X", "Y", *es], [("X", "Y"), *(
+        ("X" if i % 2 == 0 else "Y", e) for i, e in enumerate(es))])
+
+
+def test_verify_models_cover_only_the_ancestral_submodel(monkeypatch):
+    # 22 binary nodes would need a 2^22-cell joint, over the cell budget;
+    # the oracle check draws its models on G[An(X u Y)] = X -> Y
+    module = importlib.import_module("causalid.identify")
+    drawn = []
+    draw = module.random_model
+
+    def recording_random_model(g, rng):
+        drawn.append(g.names)
+        return draw(g, rng)
+
+    monkeypatch.setattr(module, "random_model", recording_random_model)
+    res = identify(Query(_x_to_y_with_leaves(20), ("X",), ("Y",)))
+    assert (res.status, res.budget_spent) == (IDENTIFIED, 1)
+    assert render(res.formula) == "p(Y|X)"
+    assert drawn == [("X", "Y")] * module.VERIFY_MODELS
+
+
+def test_verify_on_the_submodel_still_rejects_a_wrong_formula():
+    # p(Y|X) is confounded by C0 and C1; the 20 leaves put the full
+    # joint over the cell budget, so only a check on the ancestral
+    # submodel can tell the formula is wrong
+    g = _backdoor_core(20)
+    with pytest.raises(EngineInvariantError,
+                       match="disagrees with the surgery oracle"):
+        _verify(Query(g, ("X",), ("Y",)), P("Y", given="X"), ())
 
 
 @pytest.mark.parametrize("g, outcome, cost", [

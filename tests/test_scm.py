@@ -209,6 +209,33 @@ def test_intervene_last_write_wins(confounder_model):
     assert confounder_model.intervene({}) is confounder_model
 
 
+def test_intervene_reuses_validated_rows(monkeypatch, confounder_model):
+    # the surgered model checks no row again, yet equals the model the
+    # validating constructor builds from the same parts
+    import causalid.scm as scm
+    checked = []
+    check_row = scm._check_row
+
+    def counting_check(row, where):
+        checked.append(where)
+        return check_row(row, where)
+
+    monkeypatch.setattr(scm, "_check_row", counting_check)
+    m = confounder_model.intervene({"X": 1, "Z": 0})
+    assert checked == []
+    ref = DiscreteModel(m.graph, m.domains, m.mechanisms)
+    assert checked
+    assert m.graph.parents("X") == frozenset()
+    assert m.mechanisms["X"].table == {(): (0, 1)}
+    assert m.joint() == ref.joint()
+    assert m.do_marginal({}, ["Y"]) == confounder_model.do_marginal(
+        {"X": 1, "Z": 0}, ["Y"])
+    with pytest.raises(GraphError, match="'Q'"):
+        confounder_model.intervene({"Q": 0})
+    with pytest.raises(ModelError, match="not in domain"):
+        confounder_model.intervene({"X": 2})
+
+
 def test_truncated_handles_zero_rows():
     # the deterministic mechanism has zero-probability rows; the product
     # form must not divide by them

@@ -19,9 +19,8 @@ from pathlib import Path
 
 from .catalog import catalog as corpus_entries
 from .catalog import run_entry, unavailable
-from .dsep import (connecting_path, d_separated, observationally_equivalent,
-                   pattern)
-from .dsl import ParseError, parse_assignment, parse_graph, parse_model
+from .dsep import connecting_path, observationally_equivalent, pattern
+from .dsl import ParseError, parse_graph, parse_model
 from .expr import (ExprError, evaluate, free_variables, parse, render,
                    base_name)
 from .graph import GraphError, ScaleError
@@ -73,8 +72,8 @@ def cmd_dsep(args) -> int:
     X = _variables(g, "--x", args.x)
     Y = _variables(g, "--y", args.y)
     Z = _variables(g, "--given", args.given)
-    separated = d_separated(g, X, Y, Z)
-    witness = None if separated else connecting_path(g, X, Y, Z)
+    witness = connecting_path(g, X, Y, Z)
+    separated = witness is None
     if args.json:
         _emit_json({
             "command": "dsep",
@@ -137,13 +136,13 @@ def cmd_identify(args) -> int:
 def _do_items(items):
     fixed, free = {}, []
     for item in items or []:
-        name = item.split("=", 1)[0]
+        name, eq, value = item.partition("=")
         if name in fixed or name in free:
             raise _Failure(2, f"--do names {name!r} twice")
-        if "=" in item:
-            fixed.update(parse_assignment([item]))
+        if eq:
+            fixed[name] = value
         else:
-            free.append(item)
+            free.append(name)
     return fixed, free
 
 
@@ -164,13 +163,14 @@ def cmd_eval(args) -> int:
     if set(targets) & (set(fixed) | set(free_do)):
         raise _Failure(2, "--target and --do must be disjoint")
 
+    # the row axes under each do-assignment: the targets, then the
+    # formula's other free variables
+    axes = list(targets)
     formula = None
     if args.formula:
         formula = parse(args.formula)
         fvars = sorted(free_variables(formula))
-        axes = [n for n in fvars
-                if base_name(n) not in fixed]
-        for n in axes:
+        for n in fvars:
             g.index(base_name(n))
         if args.check and not (args.do and targets):
             raise _Failure(2, "--check on a formula needs --do and "
@@ -179,54 +179,46 @@ def cmd_eval(args) -> int:
         if args.check and absent:
             raise _Failure(2, f"--check target {absent[0]!r} is not a "
                            "free variable of the formula")
+        bound = set(fixed) | set(free_do) | set(targets)
+        axes += [n for n in fvars if base_name(n) not in bound]
     else:
         if not targets:
             raise _Failure(2, "--do needs --target")
         if len(fixed) + len(free_do) != 1:
             raise _Failure(2, "eval --do takes exactly one intervention "
                            "variable")
-        axes = []
 
-    do_vars = list(fixed) + free_do
-    axis_vars = free_do + [t for t in targets] + \
-        [n for n in (axes if formula else []) if base_name(n) not in
-         set(free_do) | set(targets) | set(fixed)]
-
-    # The do variables lead the axes, so each do-assignment's rows are
-    # consecutive: its oracle tables are built on its first row, read by
-    # the rest, and dropped when the assignment changes.
     rows = []
-    doms = [m.domains[base_name(v)] for v in axis_vars]
-    current = surgery = truncated = None
-    for combo in product(*doms):
-        binding = dict(fixed)
-        binding.update({v: c for v, c in zip(axis_vars, combo)})
-        do_assign = {n: binding[n] for n in do_vars}
-        if do_assign != current:
-            current, surgery, truncated = do_assign, None, None
-        outcome = {t: binding[t] for t in targets}
-        if formula is not None:
-            value = evaluate(formula, m, binding)
-        else:
-            if surgery is None:
-                surgery = m.do_marginal(do_assign, targets)
-            value = surgery.p(outcome)
-        row = {"binding": {v: binding[v] for v in
-                           list(fixed) + axis_vars},
-               "exact": str(value), "approx": float(value)}
-        if args.check:
+    axis_doms = [m.domains[base_name(v)] for v in axes]
+    for do_values in product(*(m.domains[n] for n in free_do)):
+        do_assign = {**fixed, **dict(zip(free_do, do_values))}
+        # this assignment's oracle tables, built on the first row that
+        # reads them
+        surgery = truncated = None
+        for values in product(*axis_doms):
+            binding = {**do_assign, **dict(zip(axes, values))}
+            outcome = {t: binding[t] for t in targets}
             if formula is not None:
+                value = evaluate(formula, m, binding)
+            else:
                 if surgery is None:
                     surgery = m.do_marginal(do_assign, targets)
-                oracle = surgery.p(outcome)
-            else:
-                # independent route: truncated product factorization
-                (var, val), = do_assign.items()
-                if truncated is None:
-                    truncated = m.truncated(var, val).marginal(targets)
-                oracle = truncated.p(outcome)
-            row["check_diff"] = str(value - oracle)
-        rows.append(row)
+                value = surgery.p(outcome)
+            row = {"binding": binding, "exact": str(value),
+                   "approx": float(value)}
+            if args.check:
+                if formula is not None:
+                    if surgery is None:
+                        surgery = m.do_marginal(do_assign, targets)
+                    oracle = surgery.p(outcome)
+                else:
+                    # independent route: truncated product factorization
+                    if truncated is None:
+                        (var, val), = do_assign.items()
+                        truncated = m.truncated(var, val).marginal(targets)
+                    oracle = truncated.p(outcome)
+                row["check_diff"] = str(value - oracle)
+            rows.append(row)
 
     if args.json:
         _emit_json({"command": "eval", "rows": rows})

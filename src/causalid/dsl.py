@@ -147,13 +147,25 @@ def _graph_from_directives(lines: Iterable[tuple[int, list[str]]]
             if n not in declared:
                 raise ParseError(i, f"unknown variable {n!r} in {kind} "
                                  f"{a}{_ARROWS[kind]}{b}")
-    arcs = [i for i, kind, _, _ in links if kind == "arc"]
     try:
         return CausalGraph(
             variables, [(a, b) for _, kind, a, b in links if kind == "edge"],
             bidirected=[(a, b) for _, kind, a, b in links if kind == "arc"])
-    except GraphError as exc:  # a directed cycle
-        raise ParseError(arcs[0] if arcs else 1, str(exc)) from None
+    except GraphError as exc:
+        # a directed cycle, named at the first edge whose head already
+        # reaches its tail through the edges before it (an arc only adds
+        # a fresh latent parent, so it closes no cycle)
+        reach: dict[str, set[str]] = {}  # each node and all it reaches
+        for i, kind, a, b in links:
+            if kind == "edge":
+                below = reach.setdefault(b, {b})
+                if a in below:
+                    break
+                reach.setdefault(a, {a})
+                for r in reach.values():
+                    if a in r:
+                        r |= below
+        raise ParseError(i, str(exc)) from None
 
 
 def _parse_pa_assignment(toks: list[str], line: int) -> dict[str, str]:
@@ -279,21 +291,3 @@ def model_to_dsl(m: DiscreteModel) -> str:
             lines.append(f"cpt {n} | {pa} : {ps}".replace("|  :", "| :"))
     return "\n".join(lines) + "\n"
 
-
-def parse_assignment(items: Iterable[str], model: DiscreteModel | None = None
-                     ) -> dict[str, str]:
-    """Parse ``name=value`` items (CLI style), checking domains when a
-    model is supplied."""
-    out: dict[str, str] = {}
-    for item in items:
-        if "=" not in item:
-            raise ParseError(0, f"expected name=value, got {item!r}")
-        name, value = item.split("=", 1)
-        if model is not None:
-            model.graph.index(name)
-            if value not in model.domains[name]:
-                raise ParseError(
-                    0, f"value {value!r} not in domain of {name!r} "
-                    f"{list(model.domains[name])}")
-        out[name] = value
-    return out

@@ -23,6 +23,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 from typing import Iterable, Mapping, Union
 
+from .dsep import d_separated
 from .graph import CausalGraph
 from .scm import DiscreteModel, PositivityError
 
@@ -69,12 +70,8 @@ def fresh_name(base: str, used: Iterable[str]) -> str:
     return f"{base}__{k}"
 
 
-def _name_key(n: str) -> tuple[str, int]:
-    return split_name(n)
-
-
 def _sorted_names(names: Iterable[str]) -> tuple[str, ...]:
-    return tuple(sorted(names, key=_name_key))
+    return tuple(sorted(names, key=split_name))
 
 
 @dataclass(frozen=True)
@@ -504,7 +501,7 @@ def _rename(x: Expr, env: Mapping[str, str], counters: dict) -> Expr:
             nb = f"{base}__{counters[base]}"
             env2[b] = nb
             fresh.append(nb)
-        return Sum(tuple(sorted(fresh, key=_name_key)),
+        return Sum(tuple(sorted(fresh, key=split_name)),
                    _rename(x.body, env2, counters))
     if isinstance(x, Product):
         return Product(tuple(_rename(f, env, counters) for f in x.factors))
@@ -597,8 +594,7 @@ def _term_value(t: ProbTerm, model: DiscreteModel, env: Mapping[str, object],
     key = frozenset(do_assign.items())
     jd = joints.get(key)
     if jd is None:
-        jd = joints[key] = (model.intervene(do_assign).joint()
-                            if do_assign else model.joint())
+        jd = joints[key] = model.intervene(do_assign).joint()
     if o_assign:
         den = jd.p(o_assign)
         if den == 0:
@@ -627,7 +623,6 @@ class GuardFact:
     cut_outgoing: tuple[str, ...]
 
     def verify(self, g: CausalGraph) -> bool:
-        from .dsep import d_separated
         h = g.mutilate(self.cut_incoming, self.cut_outgoing)
         return d_separated(h, self.left, self.right, self.given)
 

@@ -594,7 +594,7 @@ class _Replayer:
             self._emit("marginalize", None, path,
                        Sum(tuple(sorted(bound)), inner))
             self.run(plan.rest, path + ("sum",))
-        elif isinstance(plan, _Chain):
+        else:  # a _Chain
             snames = tuple(names[b] for b in plan.split)
             keep = tuple(n for n in term.targets if n not in snames)
             first = ProbTerm(keep, term.given + snames, term.do)
@@ -602,8 +602,6 @@ class _Replayer:
             self._emit("chain", None, path, Product((first, second)))
             self.run(plan.second, path + (("factor", 1),))
             self.run(plan.first, path + (("factor", 0),))
-        else:
-            raise AssertionError(f"unknown plan node {plan!r}")
 
 
 # -- known non-identifiable shapes ----------------------------------------

@@ -31,7 +31,7 @@ from itertools import product
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .graph import CausalGraph, GraphError, ScaleError
+from .graph import CausalGraph, GraphError, ScaleError, Variable
 
 # Joint tables are materialized only up to this many cells; beyond that,
 # operations refuse rather than silently approximate.
@@ -571,7 +571,6 @@ def graft_coin(model: DiscreteModel, treatment: str,
         raise ModelError(f"variable {coin!r} already exists")
     kept = [(t, h) for t, h in g.edges if h != treatment]
     kept.append((coin, treatment))
-    from .graph import Variable
     g2 = CausalGraph(g.variables + (Variable(coin),), kept)
     dom = model.domains[treatment]
     doms = dict(model.domains)

@@ -1,10 +1,11 @@
 import json
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 from causalid import DiscreteModel
-from causalid import cli
+from causalid import cli, dsep
 from causalid.cli import main
 from causalid.identify import EngineInvariantError
 
@@ -116,6 +117,24 @@ def test_dsep_json(files, capsys):
     doc = json.loads(out)
     assert doc["schema"] == 1 and doc["separated"] is True
     assert doc["witness"] is None
+
+
+@pytest.mark.parametrize("argv, out", [
+    (("--x", "X", "--y", "Y", "--given", "Z"), "SEPARATED\n"),
+    (("--x", "X", "--y", "Y"), "CONNECTED X -> Z -> Y\n"),
+], ids=["separated", "connected"])
+def test_dsep_sweeps_once(files, monkeypatch, capsys, argv, out):
+    # the witness search answers both verdicts: one reachability sweep
+    sweeps = []
+    reach_states = dsep._reach_states
+
+    def counting_reach_states(*args):
+        sweeps.append(args)
+        return reach_states(*args)
+
+    monkeypatch.setattr(dsep, "_reach_states", counting_reach_states)
+    assert run(capsys, "dsep", files["chain.graph"], *argv) == (0, out, "")
+    assert len(sweeps) == 1
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -245,6 +264,36 @@ def test_eval_usage_errors(files, capsys):
     code, _, err = run(capsys, "eval", files["confounder.model"],
                        "--do", "X=1", "--do", "Z=1", "--target", "Y")
     assert code == 2 and "exactly one" in err
+    for argv, message in [
+            (("--do", "X=9", "--target", "Y"),
+             "value '9' not in domain of 'X'"),
+            (("--formula", "p(Y|X)", "--do", "X", "--check"),
+             "--check on a formula needs --do and --target to name the "
+             "oracle quantity"),
+            (("--do", "X"), "--do needs --target")]:
+        assert run(capsys, "eval", files["confounder.model"], *argv) == \
+            (2, "", f"error: {message}\n")
+
+
+def test_eval_json_document(files, capsys):
+    # rows run over each do-assignment, then the targets, then the
+    # formula's other free variables; bindings keep that key order
+    code, out, err = run(capsys, "eval", files["confounder.model"],
+                         "--formula", "sum_Z p(Y|X,Z) p(Z)", "--do", "X",
+                         "--target", "Y", "--check", "--json")
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"schema": 1, "command": "eval", "rows": [
+        {"binding": {"X": x, "Y": y}, "exact": exact,
+         "approx": float(F(exact)), "check_diff": "0"}
+        for x, y, exact in [("0", "0", "47/60"), ("0", "1", "13/60"),
+                            ("1", "0", "3/10"), ("1", "1", "7/10")]]}
+    code, out, _ = run(capsys, "eval", files["confounder.model"],
+                       "--formula", "p(Y|X,Z)", "--do", "X=1", "--target",
+                       "Y", "--json")
+    rows = json.loads(out)["rows"]
+    assert code == 0 and [list(r["binding"].items()) for r in rows] == [
+        [("X", "1"), ("Y", y), ("Z", z)] for y in "01" for z in "01"]
+    assert [r["exact"] for r in rows] == ["1/2", "1/10", "1/2", "9/10"]
 
 
 @pytest.mark.parametrize("argv, message", [

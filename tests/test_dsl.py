@@ -5,7 +5,7 @@ import pytest
 
 from causalid import (ParseError, graph_to_dsl, graph_to_json, model_to_dsl,
                       parse_graph, parse_model)
-from causalid.dsl import parse_assignment, parse_fraction
+from causalid.dsl import parse_fraction
 
 from conftest import binary_confounder_model, random_dag
 
@@ -68,6 +68,12 @@ def test_v_structures_stable_across_round_trip():
 def test_json_detection_and_errors():
     with pytest.raises(ParseError, match="bad JSON"):
         parse_graph("{not json")
+    with pytest.raises(ParseError) as info:
+        parse_graph('{"vars": [{"latent": true}]}')
+    assert str(info.value) == "line 1: bad graph JSON structure: 'name'"
+    with pytest.raises(ParseError) as info:
+        parse_graph('{"vars": [{"name": "A"}], "edges": [["A", "B"]]}')
+    assert str(info.value) == "line 1: unknown variable 'B' in edge A->B"
 
 
 MODEL = """\
@@ -131,6 +137,50 @@ def test_model_errors():
                     "cpt A | : 1/2 1/2\ncpt B | : 1/2 1/2\n")
 
 
+TWO_NODE = """\
+var A
+var B
+edge A -> B
+domain A 0 1
+domain B 0 1
+cpt A | : 1/2 1/2
+cpt B | A=0 : 1/3 2/3
+cpt B | A=1 : 3/4 1/4
+"""
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("A=0 :", "A0 :", "line 7: bad parent assignment token 'A0'"),
+    ("A=0 :", "A= :", "line 7: bad parent assignment token 'A='"),
+    ("A=0 :", "A=0 A=1 :", "line 7: parent 'A' assigned twice"),
+    ("cpt B | A=1", "frob A\ncpt B | A=1", "line 8: unknown directive "
+     "'frob'"),
+    ("domain B 0 1", "domain B 0", "line 5: domain needs a variable and at "
+     "least two values"),
+    ("domain B 0 1", "domain B 0 1\ndomain Q 0 1",
+     "line 6: unknown variable 'Q'"),
+    ("domain B 0 1", "domain B 0 1\ndomain A 0 1",
+     "line 6: duplicate domain for 'A'"),
+    ("domain B 0 1", "domain B 0 0", "line 5: repeated value in domain of "
+     "'B'"),
+    ("cpt A | :", "cpt\ncpt A | :", "line 6: bad cpt directive"),
+    ("cpt A | :", "cpt Q | : 1\ncpt A | :", "line 6: unknown variable 'Q'"),
+    ("cpt A | :", "cpt A |", "line 6: cpt needs a ':' before the "
+     "probabilities"),
+    ("A=1 :", "A=2 :", "line 8: value '2' not in domain of 'A'"),
+    ("cpt A | : 1/2 1/2", "cpt A | : 1", "line 6: cpt row for 'A' has 1 "
+     "probabilities, domain has 2 values"),
+], ids=["parent-without-equals", "parent-without-value",
+        "parent-assigned-twice", "unknown-directive", "short-domain",
+        "domain-of-unknown", "domain-twice", "domain-repeats-value",
+        "bare-cpt", "cpt-of-unknown", "cpt-without-colon",
+        "parent-value-outside-domain", "probability-count"])
+def test_model_errors_name_their_line(old, new, message):
+    with pytest.raises(ParseError) as info:
+        parse_model(TWO_NODE.replace(old, new, 1))
+    assert str(info.value) == message
+
+
 SPREAD_MODEL = """\
 var A
 # the domains may come before the edges
@@ -153,10 +203,11 @@ def test_model_graph_errors_name_their_own_line():
     bad_arc = SPREAD_MODEL.replace("edge A -> B", "arc A <> B")
     with pytest.raises(ParseError, match="line 5: bad arc"):
         parse_model(bad_arc)
-    # a graph-level failure is reported at the first arc's line
+    # a directed cycle is reported at the edge that closes it
     cyclic = SPREAD_MODEL.replace("edge A -> B",
                                   "edge A -> B\nedge B -> A\narc A <-> B")
-    with pytest.raises(ParseError, match="line 7:"):
+    with pytest.raises(ParseError, match="line 6: graph contains a directed "
+                       "cycle"):
         parse_model(cyclic)
 
 
@@ -173,8 +224,20 @@ def test_model_graph_errors_name_their_own_line():
     ("var A\nvar B-C\n", "line 2: invalid variable name 'B-C'"),
     ("var A\nvar B__2\n", "line 2: variable name 'B__2' ends in a "
      "reserved"),
+    ("var A\nvar B\nedge A -> B\nedge B -> A\n",
+     "line 4: graph contains a directed cycle"),
+    ("var A\nvar B\nvar C\narc A <-> C\nedge A -> B\nedge B -> A\n",
+     "line 6: graph contains a directed cycle"),
+    ("var A\nvar B\nvar C\nedge B -> C\nedge A -> B\nedge A -> C\n"
+     "edge C -> A\nedge B -> A\n",
+     "line 7: graph contains a directed cycle"),
+    ("var A\ndomain A 0 1\n",
+     "line 2: 'domain' belongs to the model format; this parser reads "
+     "plain graphs"),
 ], ids=["edge-after-blank", "edge-after-arc", "arc", "repeated-var",
-        "repeated-edge", "self-loop", "invalid-name", "reserved-suffix"])
+        "repeated-edge", "self-loop", "invalid-name", "reserved-suffix",
+        "cycle", "cycle-after-arc", "cycle-through-a-path",
+        "domain-in-graph"])
 def test_graph_errors_name_their_own_line(text, where):
     with pytest.raises(ParseError) as info:
         parse_graph(text)
@@ -225,11 +288,3 @@ def test_model_graph_lines_anywhere():
     assert model_to_dsl(m) == model_to_dsl(want)
     assert m.joint() == want.joint()
 
-
-def test_parse_assignment():
-    m = parse_model(MODEL)
-    assert parse_assignment(["X=1"], m) == {"X": "1"}
-    with pytest.raises(ParseError, match="domain"):
-        parse_assignment(["X=9"], m)
-    with pytest.raises(ParseError, match="name=value"):
-        parse_assignment(["X"], m)

@@ -77,6 +77,8 @@ def test_render_do_first_then_observations():
 def test_render_quotient_and_parens():
     q = Quotient(P(("y", "w"), do="x"), P("w", do="x"))
     assert render(q) == "p(w,y|do(x)) / p(w|do(x))"
+    assert render(q, "latex") == \
+        r"\frac{p(w,y|\mathrm{do}(x))}{p(w|\mathrm{do}(x))}"
     e = Product((Sum(("z",), P("z")), P("y")))
     assert render(e) == "(sum_z p(z)) p(y)"
 
@@ -96,6 +98,9 @@ def test_parse_examples():
     # observation-first ordering parses to the same term
     assert parse("p(y|w,do(x))") == P("y", given="w", do="x")
     assert parse("sum_{a,b} p(a,b)") == Sum(("a", "b"), P(("a", "b")))
+    two = parse("p(y|do(a,b),w)")
+    assert two == P("y", given="w", do=("a", "b"))
+    assert render(two) == "p(y|do(a,b),w)"
 
 
 def test_parse_quotient_precedence():
@@ -111,6 +116,11 @@ def test_parse_errors():
                 "p(y|x x)"):
         with pytest.raises(ExprError):
             parse(bad)
+    with pytest.raises(ExprError, match=r"character '\+' at offset 4"):
+        parse("p(y) + p(z)")
+    for early in ("sum_z", "p(y) ("):
+        with pytest.raises(ExprError, match="unexpected end of expression"):
+            parse(early)
 
 
 def _random_expr(rng: random.Random, names, depth=0):
@@ -248,6 +258,9 @@ def test_positivity_error_names_term():
          "y": {(0,): (F(1, 2), F(1, 2)), (1,): (F(1, 2), F(1, 2))}})
     with pytest.raises(PositivityError, match=r"p\(w\)"):
         evaluate(parse("p(y|w)"), m, {"w": 1, "y": 0})
+    with pytest.raises(PositivityError) as info:
+        evaluate(parse("p(y) / p(w)"), m, {"w": 1, "y": 0})
+    assert str(info.value) == "denominator p(w) evaluates to zero"
 
 
 def test_unbound_variable_rejected():
@@ -278,6 +291,9 @@ def test_tidy_moves_sums_last():
     t = tidy(e)
     assert isinstance(t.factors[0], ProbTerm)
     assert render(t) == "p(y) sum_z p(z)"
+    q = tidy(Quotient(e, P("w")))
+    assert q == Quotient(t, P("w"))
+    assert render(q, "latex") == r"\frac{p(y) \: \sum_{z} p(z)}{p(w)}"
 
 
 # -- derivation records -----------------------------------------------------

@@ -14,10 +14,9 @@ Entries whose full topology is not recoverable are listed in
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .expr import P, alpha_equal
-from .graph import CausalGraph
+from .graph import CausalGraph, _Record
 from .identify import (IDENTIFIED, KNOWN_NON_IDENTIFIABLE, Query,
                        backdoor_admissible, backdoor_formula,
                        find_backdoor_sets, frontdoor_admissible,
@@ -28,24 +27,34 @@ from .scm import random_model
 _CHECK_SEED = 7
 
 
-@dataclass(frozen=True)
-class Expectation:
-    kind: str  # backdoor | frontdoor | non-identifiable
-    #           | do-equals-see | adjustment-sets
-    adjustment: tuple[str, ...] = ()
-    assertions: tuple[tuple[tuple[str, ...], bool], ...] = ()
+class Expectation(_Record):
+    # kind: backdoor | frontdoor | non-identifiable | do-equals-see
+    #       | adjustment-sets
+    __slots__ = ("kind", "adjustment", "assertions")
+
+    def __init__(self, kind: str, adjustment: tuple[str, ...] = (),
+                 assertions: tuple[tuple[tuple[str, ...], bool], ...] = ()):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "adjustment", adjustment)
+        object.__setattr__(self, "assertions", assertions)
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    name: str
-    description: str
-    graph: CausalGraph
-    treatment: tuple[str, ...]
-    outcome: tuple[str, ...]
-    expectation: Expectation
-    reconstructed: bool = False
-    note: str = ""
+class CorpusEntry(_Record):
+    __slots__ = ("name", "description", "graph", "treatment", "outcome",
+                 "expectation", "reconstructed", "note")
+
+    def __init__(self, name: str, description: str, graph: CausalGraph,
+                 treatment: tuple[str, ...], outcome: tuple[str, ...],
+                 expectation: Expectation, reconstructed: bool = False,
+                 note: str = ""):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "treatment", treatment)
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "expectation", expectation)
+        object.__setattr__(self, "reconstructed", reconstructed)
+        object.__setattr__(self, "note", note)
 
 
 def _loyalty_graph() -> CausalGraph:

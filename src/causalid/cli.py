@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from itertools import product
 from pathlib import Path
 
@@ -21,8 +22,8 @@ from .catalog import catalog as corpus_entries
 from .catalog import run_entry, unavailable
 from .dsep import connecting_path, observationally_equivalent, pattern
 from .dsl import ParseError, parse_graph, parse_model
-from .expr import (ExprError, evaluate, free_variables, parse, render,
-                   base_name)
+from .expr import (ExprError, base_name, evaluate, free_variables,
+                   name_to_text, parse, render)
 from .graph import GraphError, ScaleError
 from .identify import (DEFAULT_BUDGET, IDENTIFIED, KNOWN_NON_IDENTIFIABLE,
                        NOT_WITHIN_BUDGET, EngineInvariantError, Query,
@@ -180,7 +181,7 @@ def cmd_eval(args) -> int:
             raise _Failure(2, f"--check target {absent[0]!r} is not a "
                            "free variable of the formula")
         bound = set(fixed) | set(free_do) | set(targets)
-        axes += [n for n in fvars if base_name(n) not in bound]
+        axes += [n for n in fvars if n not in bound]
     else:
         if not targets:
             raise _Failure(2, "--do needs --target")
@@ -204,7 +205,9 @@ def cmd_eval(args) -> int:
                 if surgery is None:
                     surgery = m.do_marginal(do_assign, targets)
                 value = surgery.p(outcome)
-            row = {"binding": binding, "exact": str(value),
+            row = {"binding": {name_to_text(n): v
+                               for n, v in binding.items()},
+                   "exact": str(value),
                    "approx": float(value)}
             if args.check:
                 if formula is not None:
@@ -327,6 +330,9 @@ def cmd_corpus(args) -> int:
 
 # -- entry point --------------------------------------------------------------
 
+# built on the first `main` call, not at import, and kept for the process:
+# building it costs about sixteen times what parsing one command line does
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="causalid",

@@ -9,12 +9,12 @@ oracle for tests.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from functools import total_ordering
 from itertools import combinations, product
 from typing import Iterable
 
 from .graph import (PATH_ENUM_GUARD, CausalGraph, GraphError, Path,
-                    PartiallyDirectedGraph, ScaleError)
+                    PartiallyDirectedGraph, ScaleError, _Record)
 
 PATTERN_GUARD = 7  # brute-force orientation enumeration scale
 
@@ -156,13 +156,22 @@ def d_separated_exhaustive(g: CausalGraph, X: Iterable[str],
     return True
 
 
-@dataclass(frozen=True, order=True)
-class Statement:
-    """A conditional-independence statement X _||_ Y | Z."""
+@total_ordering
+class Statement(_Record):
+    """A conditional-independence statement X _||_ Y | Z; statements
+    sort by their fields in order."""
 
-    x: str
-    y: str
-    given: tuple[str, ...]
+    __slots__ = ("x", "y", "given")
+
+    def __init__(self, x: str, y: str, given: tuple[str, ...]):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "given", given)
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) < other._key(other)
+        return NotImplemented
 
     def render(self) -> str:
         tail = f" {','.join(self.given)}" if self.given else ""

@@ -18,13 +18,12 @@ primed, so graph variable names may not end in ``__<digits>``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 from typing import Iterable, Mapping, Union
 
 from .dsep import d_separated
-from .graph import CausalGraph
+from .graph import CausalGraph, _Record
 from .scm import DiscreteModel, PositivityError
 
 _SUFFIX_RE = re.compile(r"^(.*?)__([0-9]+)$")
@@ -74,22 +73,20 @@ def _sorted_names(names: Iterable[str]) -> tuple[str, ...]:
     return tuple(sorted(names, key=split_name))
 
 
-@dataclass(frozen=True)
-class ProbTerm:
+class ProbTerm(_Record):
     """p(targets | given, do(do)); the three name sets are disjoint and
     no two of them share a base variable."""
 
-    targets: tuple[str, ...]
-    given: tuple[str, ...] = ()
-    do: tuple[str, ...] = ()
+    __slots__ = ("targets", "given", "do")
 
-    def __post_init__(self):
-        object.__setattr__(self, "targets", _sorted_names(self.targets))
-        object.__setattr__(self, "given", _sorted_names(self.given))
-        object.__setattr__(self, "do", _sorted_names(self.do))
-        if not self.targets:
+    def __init__(self, targets: tuple[str, ...], given: tuple[str, ...] = (),
+                 do: tuple[str, ...] = ()):
+        targets = _sorted_names(targets)
+        given = _sorted_names(given)
+        do = _sorted_names(do)
+        if not targets:
             raise ExprError("a probability term needs at least one target")
-        allnames = self.targets + self.given + self.do
+        allnames = targets + given + do
         if len(set(allnames)) != len(allnames):
             raise ExprError(f"repeated variable in term {allnames}")
         bases = [base_name(n) for n in allnames]
@@ -97,33 +94,38 @@ class ProbTerm:
             raise ExprError(
                 f"term mentions one variable twice (primes included): "
                 f"{allnames}")
+        object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "given", given)
+        object.__setattr__(self, "do", do)
 
 
-@dataclass(frozen=True)
-class Sum:
-    bound: tuple[str, ...]
-    body: "Expr"
+class Sum(_Record):
+    __slots__ = ("bound", "body")
 
-    def __post_init__(self):
-        if not self.bound:
+    def __init__(self, bound: tuple[str, ...], body: Expr):
+        if not bound:
             raise ExprError("sum needs at least one bound variable")
-        if len(set(self.bound)) != len(self.bound):
+        if len(set(bound)) != len(bound):
             raise ExprError("repeated bound variable")
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "body", body)
 
 
-@dataclass(frozen=True)
-class Product:
-    factors: tuple["Expr", ...]
+class Product(_Record):
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        if len(self.factors) < 2:
+    def __init__(self, factors: tuple[Expr, ...]):
+        if len(factors) < 2:
             raise ExprError("product needs at least two factors")
+        object.__setattr__(self, "factors", factors)
 
 
-@dataclass(frozen=True)
-class Quotient:
-    num: "Expr"
-    den: "Expr"
+class Quotient(_Record):
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: Expr, den: Expr):
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
 
 Expr = Union[ProbTerm, Sum, Product, Quotient]
@@ -610,17 +612,21 @@ def _term_value(t: ProbTerm, model: DiscreteModel, env: Mapping[str, object],
 RULE_TAGS = ("rule1", "rule2", "rule3", "chain", "marginalize", "definition")
 
 
-@dataclass(frozen=True)
-class GuardFact:
+class GuardFact(_Record):
     """A d-separation statement on a surgically modified graph: with the
     stated edges cut, ``left`` and ``right`` are separated given
     ``given``."""
 
-    left: tuple[str, ...]
-    right: tuple[str, ...]
-    given: tuple[str, ...]
-    cut_incoming: tuple[str, ...]
-    cut_outgoing: tuple[str, ...]
+    __slots__ = ("left", "right", "given", "cut_incoming", "cut_outgoing")
+
+    def __init__(self, left: tuple[str, ...], right: tuple[str, ...],
+                 given: tuple[str, ...], cut_incoming: tuple[str, ...],
+                 cut_outgoing: tuple[str, ...]):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "given", given)
+        object.__setattr__(self, "cut_incoming", cut_incoming)
+        object.__setattr__(self, "cut_outgoing", cut_outgoing)
 
     def verify(self, g: CausalGraph) -> bool:
         h = g.mutilate(self.cut_incoming, self.cut_outgoing)
@@ -637,16 +643,17 @@ class GuardFact:
                 f" | {','.join(self.given)}) in {where}")
 
 
-@dataclass(frozen=True)
-class DerivationStep:
-    rule: str
-    guard: GuardFact | None
-    before: Expr
-    after: Expr
+class DerivationStep(_Record):
+    __slots__ = ("rule", "guard", "before", "after")
 
-    def __post_init__(self):
-        if self.rule not in RULE_TAGS:
-            raise ExprError(f"unknown rule tag {self.rule!r}")
+    def __init__(self, rule: str, guard: GuardFact | None, before: Expr,
+                 after: Expr):
+        if rule not in RULE_TAGS:
+            raise ExprError(f"unknown rule tag {rule!r}")
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "guard", guard)
+        object.__setattr__(self, "before", before)
+        object.__setattr__(self, "after", after)
 
     def to_json(self, step: int) -> dict:
         return {

@@ -16,7 +16,7 @@ answer.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
@@ -44,10 +44,63 @@ class ScaleError(Exception):
     """An exhaustive operation was asked to run beyond its size guard."""
 
 
-@dataclass(frozen=True)
-class Variable:
-    name: str
-    latent: bool = False
+class _Record:
+    """Base of the package's immutable value records.
+
+    A subclass names its fields, in order, in ``__slots__`` and sets
+    them in ``__init__`` with ``object.__setattr__``.  Two records are
+    equal when they have the same type and equal fields, a record
+    hashes as the tuple of its fields, and its repr is
+    ``Name(field=value, ...)``; no record can be assigned to after
+    construction, and a copy or unpickled record is rebuilt through
+    ``__init__``.  All of it is plain methods, so importing a record
+    class generates no code.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = cls.__slots__
+        if len(fields) > 1:
+            key = attrgetter(*fields)
+        elif fields:  # attrgetter of one name returns the bare value
+            get = attrgetter(*fields)
+            key = lambda obj: (get(obj),)
+        else:
+            key = lambda obj: ()
+        cls._key = staticmethod(key)
+        cls.__match_args__ = fields
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in
+                           zip(self.__slots__, self._key(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._key(self)
+
+
+class Variable(_Record):
+    __slots__ = ("name", "latent")
+
+    def __init__(self, name: str, latent: bool = False):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "latent", latent)
 
     @property
     def observed(self) -> bool:
@@ -388,24 +441,24 @@ def _paths_on(g: CausalGraph, b: str, nodes: tuple, dirs: tuple):
             yield from _paths_on(g, b, nd, dd)
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(_Record):
     """A sequence of consecutive edges traversed in either direction.
 
     ``forward[i]`` is True when the i-th edge points nodes[i]->nodes[i+1].
     Paths have at least one edge and never repeat a node.
     """
 
-    nodes: tuple[str, ...]
-    forward: tuple[bool, ...]
+    __slots__ = ("nodes", "forward")
 
-    def __post_init__(self):
-        if len(self.nodes) < 2:
+    def __init__(self, nodes: tuple[str, ...], forward: tuple[bool, ...]):
+        if len(nodes) < 2:
             raise GraphError("a path needs at least one edge")
-        if len(set(self.nodes)) != len(self.nodes):
+        if len(set(nodes)) != len(nodes):
             raise GraphError("a path may not repeat a node")
-        if len(self.forward) != len(self.nodes) - 1:
+        if len(forward) != len(nodes) - 1:
             raise GraphError("malformed path: direction per edge required")
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "forward", forward)
 
     @classmethod
     def from_nodes(cls, g: CausalGraph, nodes: Iterable[str]) -> Path:
@@ -446,16 +499,18 @@ class Path:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class PartiallyDirectedGraph:
+class PartiallyDirectedGraph(_Record):
     """Mixed graph: some edges oriented, some left undirected."""
 
-    variables: tuple[Variable, ...]
-    directed: tuple[tuple[str, str], ...]
-    undirected: tuple[tuple[str, str], ...]
+    __slots__ = ("variables", "directed", "undirected")
 
-    def __post_init__(self):
-        und = {frozenset(e) for e in self.undirected}
-        dire = {frozenset(e) for e in self.directed}
+    def __init__(self, variables: tuple[Variable, ...],
+                 directed: tuple[tuple[str, str], ...],
+                 undirected: tuple[tuple[str, str], ...]):
+        und = {frozenset(e) for e in undirected}
+        dire = {frozenset(e) for e in directed}
         if und & dire:
             raise GraphError("an edge cannot be both directed and undirected")
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "directed", directed)
+        object.__setattr__(self, "undirected", undirected)

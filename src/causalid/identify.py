@@ -46,7 +46,6 @@ non-identifiable yields that verdict.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, permutations, product
 
@@ -54,7 +53,7 @@ from .dsep import d_separated
 from .expr import (DerivationStep, Expr, GuardFact, P, ProbTerm, Product,
                    Sum, base_name, evaluate, fresh_name, is_do_free, tidy,
                    used_names)
-from .graph import CausalGraph, GraphError
+from .graph import CausalGraph, GraphError, _Record
 from .scm import random_model
 
 DEFAULT_BUDGET = 16
@@ -73,39 +72,38 @@ class EngineInvariantError(Exception):
     defect."""
 
 
-@dataclass(frozen=True)
-class Query:
-    graph: CausalGraph
-    treatment: tuple[str, ...]
-    outcome: tuple[str, ...]
+class Query(_Record):
+    __slots__ = ("graph", "treatment", "outcome")
 
-    def __post_init__(self):
-        g = self.graph
-        xs, ys = frozenset(self.treatment), frozenset(self.outcome)
+    def __init__(self, graph: CausalGraph, treatment: tuple[str, ...],
+                 outcome: tuple[str, ...]):
+        xs, ys = frozenset(treatment), frozenset(outcome)
         for n in xs | ys:
-            g.index(n)
+            graph.index(n)
         if not xs or not ys:
             raise GraphError("treatment and outcome must be nonempty")
         if xs & ys:
             raise GraphError("treatment and outcome must be disjoint")
-        latent = (xs | ys) & g.latent_names
+        latent = (xs | ys) & graph.latent_names
         if latent:
             raise GraphError(
                 f"treatment/outcome must be observed: {sorted(latent)}")
-        object.__setattr__(self, "treatment", g.ordered(xs))
-        object.__setattr__(self, "outcome", g.ordered(ys))
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "treatment", graph.ordered(xs))
+        object.__setattr__(self, "outcome", graph.ordered(ys))
 
 
-@dataclass(frozen=True)
-class IdentificationResult:
-    status: str
-    formula: Expr | None
-    derivation: tuple[DerivationStep, ...]
-    budget_spent: int
+class IdentificationResult(_Record):
+    __slots__ = ("status", "formula", "derivation", "budget_spent")
 
-    def __post_init__(self):
-        if self.status == IDENTIFIED:
-            assert self.formula is not None and is_do_free(self.formula)
+    def __init__(self, status: str, formula: Expr | None,
+                 derivation: tuple[DerivationStep, ...], budget_spent: int):
+        if status == IDENTIFIED:
+            assert formula is not None and is_do_free(formula)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "formula", formula)
+        object.__setattr__(self, "derivation", derivation)
+        object.__setattr__(self, "budget_spent", budget_spent)
 
 
 # -- back-door ----------------------------------------------------------
@@ -279,34 +277,42 @@ def rule3_applicable(g: CausalGraph, X, Y, Z, W) -> bool:
 State = tuple[frozenset[str], frozenset[str], frozenset[str]]
 
 
-@dataclass(frozen=True)
-class _Done:
-    pass
+class _Done(_Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class _Rule:
+class _Rule(_Record):
     """A rule step, kept as its guard question ``(tag, X, Y, Z, W)`` with
     Y the targets ``after[0]``; the replay states the guard."""
-    tag: str
-    xs: frozenset[str]
-    zs: frozenset[str]
-    ws: frozenset[str]
-    after: State
-    rest: object
+
+    __slots__ = ("tag", "xs", "zs", "ws", "after", "rest")
+
+    def __init__(self, tag: str, xs: frozenset[str], zs: frozenset[str],
+                 ws: frozenset[str], after: State, rest: object):
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "zs", zs)
+        object.__setattr__(self, "ws", ws)
+        object.__setattr__(self, "after", after)
+        object.__setattr__(self, "rest", rest)
 
 
-@dataclass(frozen=True)
-class _Marg:
-    added: tuple[str, ...]
-    rest: object
+class _Marg(_Record):
+    __slots__ = ("added", "rest")
+
+    def __init__(self, added: tuple[str, ...], rest: object):
+        object.__setattr__(self, "added", added)
+        object.__setattr__(self, "rest", rest)
 
 
-@dataclass(frozen=True)
-class _Chain:
-    split: tuple[str, ...]
-    first: object
-    second: object
+class _Chain(_Record):
+    __slots__ = ("split", "first", "second")
+
+    def __init__(self, split: tuple[str, ...], first: object,
+                 second: object):
+        object.__setattr__(self, "split", split)
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "second", second)
 
 
 def _plan_cost(p) -> int:

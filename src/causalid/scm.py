@@ -25,13 +25,12 @@ from __future__ import annotations
 import csv
 import io
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .graph import CausalGraph, GraphError, ScaleError, Variable
+from .graph import CausalGraph, GraphError, ScaleError, Variable, _Record
 
 # Joint tables are materialized only up to this many cells; beyond that,
 # operations refuse rather than silently approximate.
@@ -65,15 +64,18 @@ def _check_row(probs: Sequence, where: str) -> tuple:
     return row
 
 
-@dataclass(frozen=True)
-class Mechanism:
+class Mechanism(_Record):
     """Conditional table for one child: parent assignment -> distribution
     over the child's domain (one probability per domain value, in order).
     """
 
-    child: str
-    parents: tuple[str, ...]
-    table: Mapping[tuple, tuple]
+    __slots__ = ("child", "parents", "table")
+
+    def __init__(self, child: str, parents: tuple[str, ...],
+                 table: Mapping[tuple, tuple]):
+        object.__setattr__(self, "child", child)
+        object.__setattr__(self, "parents", parents)
+        object.__setattr__(self, "table", table)
 
     def row(self, parent_values: tuple) -> tuple:
         try:
@@ -84,19 +86,24 @@ class Mechanism:
                 f"assignment {parent_values!r}") from None
 
 
-@dataclass(frozen=True)
-class StructuralEquationSpec:
+class StructuralEquationSpec(_Record):
     """Child = f(parent values, noise), noise with an exact distribution.
 
     ``noise`` maps each noise value to its probability; ``f`` must be
     total over parent-domain x noise-domain combinations.
     """
 
-    child: str
-    parents: tuple[str, ...]
-    parent_domains: tuple[tuple, ...]
-    noise: Mapping[Value, Fraction]
-    f: Callable[[tuple, Value], Value]
+    __slots__ = ("child", "parents", "parent_domains", "noise", "f")
+
+    def __init__(self, child: str, parents: tuple[str, ...],
+                 parent_domains: tuple[tuple, ...],
+                 noise: Mapping[Value, Fraction],
+                 f: Callable[[tuple, Value], Value]):
+        object.__setattr__(self, "child", child)
+        object.__setattr__(self, "parents", parents)
+        object.__setattr__(self, "parent_domains", parent_domains)
+        object.__setattr__(self, "noise", noise)
+        object.__setattr__(self, "f", f)
 
 
 def compile_mechanism(spec: StructuralEquationSpec,
@@ -296,10 +303,12 @@ def independent(j: JointDistribution, X: Iterable[str], Y: Iterable[str],
     return dependence_gap(j, X, Y, Z) <= tol
 
 
-@dataclass(frozen=True)
-class Dataset:
-    variables: tuple[str, ...]
-    rows: tuple[tuple, ...]
+class Dataset(_Record):
+    __slots__ = ("variables", "rows")
+
+    def __init__(self, variables: tuple[str, ...], rows: tuple[tuple, ...]):
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "rows", rows)
 
     def to_csv(self) -> str:
         buf = io.StringIO()

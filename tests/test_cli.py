@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -294,6 +296,31 @@ def test_eval_json_document(files, capsys):
     assert code == 0 and [list(r["binding"].items()) for r in rows] == [
         [("X", "1"), ("Y", y), ("Z", z)] for y in "01" for z in "01"]
     assert [r["exact"] for r in rows] == ["1/2", "1/10", "1/2", "9/10"]
+    # a primed free variable is a row axis of its own, keyed as written
+    code, out, err = run(capsys, "eval", files["confounder.model"],
+                         "--formula", "p(Y|X')", "--do", "X=1", "--json")
+    rows = json.loads(out)["rows"]
+    assert code == 0 and err == ""
+    assert [list(r["binding"].items()) for r in rows] == [
+        [("X", "1"), ("X'", x), ("Y", y)] for x in "01" for y in "01"]
+    assert [r["exact"] for r in rows] == ["101/120", "19/120", "1/5", "4/5"]
+
+
+@pytest.mark.parametrize("do, xs", [
+    ((), [""]),
+    (("--do", "X=1"), ["X=1 "]),
+    (("--do", "X"), ["X=0 ", "X=1 "]),
+], ids=["no-do", "do-fixed", "do-free"])
+def test_eval_primed_variable_is_its_own_axis(files, capsys, do, xs):
+    # p(Y|X') does not mention X, so every X row reads the same values
+    code, out, err = run(capsys, "eval", files["confounder.model"],
+                         "--formula", "p(Y|X')", *do)
+    assert code == 0 and err == ""
+    assert out.splitlines() == [
+        f"{x}X'={xp} Y={y}: {v}" for x in xs for xp, y, v in [
+            ("0", "0", "101/120 = 0.8416666666666667"),
+            ("0", "1", "19/120 = 0.15833333333333333"),
+            ("1", "0", "1/5 = 0.2"), ("1", "1", "4/5 = 0.8")]]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -485,6 +512,22 @@ def test_eval_target_repeating_do_is_usage_error(capsys, do):
 
 
 # -- exit codes of the entry point --------------------------------------------
+
+def test_main_called_twice_matches_fresh_processes(capsys):
+    # the parser is built once per process; no --do list carries over
+    # from one call to the next
+    model = str(DEMO / "confounder.model")
+    calls = [("eval", model, "--do", "X=1", "--target", "Y"),
+             ("eval", model, "--do", "X", "--target", "Y")]
+    for argv in calls:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "causalid.cli", *argv],
+            capture_output=True, text=True)
+        assert run(capsys, *argv) == (fresh.returncode, fresh.stdout,
+                                      fresh.stderr)
+    assert run(capsys, *calls[1])[1].count("\n") == 4
+    assert cli._build_parser() is cli._build_parser()
+
 
 def test_unreadable_input_is_usage_error(tmp_path, capsys):
     code, out, err = run(capsys, "pattern", str(tmp_path / "missing.graph"))

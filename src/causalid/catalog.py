@@ -14,6 +14,7 @@ Entries whose full topology is not recoverable are listed in
 from __future__ import annotations
 
 import random
+from functools import cache
 
 from .expr import P, alpha_equal
 from .graph import CausalGraph, _Record
@@ -75,6 +76,8 @@ def _pricing_graph() -> CausalGraph:
         [("U", "X"), ("U", "Z"), ("X", "Z"), ("X", "Y"), ("Z", "Y")])
 
 
+# the entries are immutable values, so they are built once per process
+@cache
 def catalog() -> tuple[CorpusEntry, ...]:
     entries = [
         CorpusEntry(

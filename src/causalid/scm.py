@@ -12,12 +12,12 @@ agree on a prefix of the topological order share its product, computed
 once, and a zero entry drops the prefix with all its extensions.
 ``JointDistribution.p`` and ``marginal`` sum a table onto each queried
 set of variables once and answer later queries on that set by lookup,
-so a table's ``probs`` is read-only after construction.
+so a table's ``probs`` is read-only after construction;
+``conditional``, ``dependence_gap`` and ``independent`` read the same
+summed tables.
 
-Probabilities are ``fractions.Fraction`` by default so correctness
-checks are exact equalities.  A float mode (``DiscreteModel.to_float``)
-exists for large tables; every operation is generic over the entry type.
-Float products are multiplied in topological order.
+Probabilities are ``fractions.Fraction``, so correctness checks are
+exact equalities: every conditional row must sum to exactly 1.
 """
 
 from __future__ import annotations
@@ -51,14 +51,9 @@ class ModelError(Exception):
 
 
 def _check_row(probs: Sequence, where: str) -> tuple:
-    row = tuple(probs)
-    if any(isinstance(p, float) for p in row):
-        if abs(sum(row) - 1.0) > 1e-12:
-            raise ModelError(f"row does not sum to 1 in {where}")
-    else:
-        row = tuple(Fraction(p) for p in row)
-        if sum(row) != 1:
-            raise ModelError(f"row does not sum to exactly 1 in {where}")
+    row = tuple(Fraction(p) for p in probs)
+    if sum(row) != 1:
+        raise ModelError(f"row does not sum to exactly 1 in {where}")
     if any(p < 0 for p in row):
         raise ModelError(f"negative probability in {where}")
     return row
@@ -165,10 +160,7 @@ class JointDistribution:
         self.probs = {k: v for k, v in probs.items() if v}
         if _validate:
             total = sum(self.probs.values())
-            exact = not any(isinstance(p, float) for p in self.probs.values())
-            if exact and total != 1:
-                raise ModelError(f"joint table sums to {total}, not 1")
-            if not exact and abs(total - 1.0) > 1e-9:
+            if total != 1:
                 raise ModelError(f"joint table sums to {total}, not 1")
         # sorted positions -> {their values: summed probability}
         self._sums: dict[tuple[int, ...], dict[tuple, object]] = {}
@@ -216,31 +208,26 @@ class JointDistribution:
     def conditional(self, names: Iterable[str],
                     given: Mapping[str, Value]) -> JointDistribution:
         """Exact renormalized distribution of ``names`` given a partial
-        assignment; zero-probability conditioning raises."""
+        assignment: the table summed onto ``names`` and ``given`` at the
+        given values, over ``p(given)``; a zero ``p(given)`` raises."""
         gpos = self._positions(given)
-        want = [given[self.variables[i]] for i in gpos]
         kpos = [i for i in self._kept(names)
                 if self.variables[i] not in given]
-        key = _projector(kpos)
-        acc: dict[tuple, object] = {}
-        norm = 0
-        for cell, pr in self.probs.items():
-            if all(cell[i] == w for i, w in zip(gpos, want)):
-                norm += pr
-                k = key(cell)
-                acc[k] = acc.get(k, 0) + pr
+        norm = self.p(given)
         if norm == 0:
-            ev = ",".join(f"{self.variables[i]}={v!r}"
-                          for i, v in zip(gpos, want))
+            ev = ",".join(f"{n}={v!r}" for n, v in given.items())
             raise PositivityError(f"conditioning event ({ev}) "
                                   "has probability zero")
-        out = {k: v / norm for k, v in acc.items()}
+        pos = tuple(sorted(gpos + kpos))
+        at = {i: k for k, i in enumerate(pos)}
+        match = _projector([at[i] for i in gpos])
+        key = _projector([at[i] for i in kpos])
+        want = tuple(given.values())
+        out = {key(k): pr / norm for k, pr in self._summed(pos).items()
+               if match(k) == want}
         return JointDistribution([self.variables[i] for i in kpos],
                                  [self.domains[i] for i in kpos], out,
                                  _validate=False)
-
-    def assignments(self) -> Iterable[tuple]:
-        return product(*self.domains)
 
     def total(self):
         return sum(self.probs.values())
@@ -252,8 +239,8 @@ class JointDistribution:
                 f"got ({','.join(self.variables)}) and "
                 f"({','.join(other.variables)})")
         keys = set(self.probs) | set(other.probs)
-        diff = sum(abs(Fraction(self.probs.get(k, 0))
-                       - Fraction(other.probs.get(k, 0))) for k in keys)
+        diff = sum(abs(self.probs.get(k, 0) - other.probs.get(k, 0))
+                   for k in keys)
         return diff / 2
 
     def __eq__(self, other) -> bool:
@@ -269,38 +256,38 @@ class JointDistribution:
 def dependence_gap(j: JointDistribution, X: Iterable[str], Y: Iterable[str],
                    Z: Iterable[str] = ()):
     """Largest violation of p(x,y|z) = p(x|z) p(y|z) over assignments with
-    positive p(z).  Zero iff X and Y are independent given Z."""
+    positive p(z), read by name as |p(x,y,z) p(z) - p(x,z) p(y,z)| / p(z)^2.
+    Zero iff X and Y are independent given Z."""
     xs, ys, zs = tuple(X), tuple(Y), tuple(Z)
     if set(xs) & set(ys) or set(xs) & set(zs) or set(ys) & set(zs):
         raise GraphError("independence query needs disjoint sets")
-    jm = j.marginal(set(xs) | set(ys) | set(zs))
+
+    def cells(names: tuple[str, ...]) -> list[dict[str, Value]]:
+        doms = [j.domains[i] for i in j._positions(names)]
+        return [dict(zip(names, vals)) for vals in product(*doms)]
+
+    xcells, ycells = cells(xs), cells(ys)
     worst = Fraction(0)
-    z_marg = jm.marginal(zs)
-    for z_cell in product(*(z_marg.domains or [()])) if zs else [()]:
-        given = dict(zip(zs, z_cell))
-        if zs and z_marg.p(given) == 0:
+    for z in cells(zs):
+        pz = j.p(z)
+        if pz == 0:
             continue
-        cond = jm.conditional(set(xs) | set(ys), given) if zs else jm
-        cx = cond.marginal(xs)
-        cy = cond.marginal(ys)
-        for cell in cond.assignments():
-            a = dict(zip(cond.variables, cell))
-            lhs = cond.p(a)
-            rhs = cx.p({k: a[k] for k in xs}) * cy.p({k: a[k] for k in ys})
-            gap = abs(lhs - rhs)
-            if gap > worst:
-                worst = gap
+        most = 0
+        for x in xcells:
+            xz = {**x, **z}
+            pxz = j.p(xz)
+            for y in ycells:
+                most = max(most, abs(j.p({**xz, **y}) * pz
+                                     - pxz * j.p({**y, **z})))
+        worst = max(worst, most / (pz * pz))
     return worst
 
 
 def independent(j: JointDistribution, X: Iterable[str], Y: Iterable[str],
-                Z: Iterable[str] = (), tol=0) -> bool:
-    """Exact conditional-independence check on a joint table.
-
-    In rational mode ``tol`` is ignored and the factorization must hold
-    exactly; for float tables pass a tolerance.
-    """
-    return dependence_gap(j, X, Y, Z) <= tol
+                Z: Iterable[str] = ()) -> bool:
+    """Exact conditional-independence check on a joint table: the
+    factorization must hold exactly."""
+    return dependence_gap(j, X, Y, Z) == 0
 
 
 class Dataset(_Record):
@@ -319,10 +306,19 @@ class Dataset(_Record):
 
     @classmethod
     def from_csv(cls, text: str) -> Dataset:
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows:
+        """A header line, then one row per line; a short or long row raises."""
+        reader = csv.reader(io.StringIO(text))
+        header = next(reader, None)
+        if header is None:
             raise ModelError("empty dataset")
-        return cls(tuple(rows[0]), tuple(tuple(r) for r in rows[1:]))
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                raise ModelError(
+                    f"CSV line {reader.line_num} has {len(row)} value(s) "
+                    f"for the header's {len(header)} columns")
+            rows.append(tuple(row))
+        return cls(tuple(header), tuple(rows))
 
 
 def _extend(steps: list, depth: int, vals: list, pr, out: dict) -> None:
@@ -439,8 +435,7 @@ class DiscreteModel:
 
         The variables are walked depth-first in topological order, so
         each prefix product is computed once and a zero entry drops the
-        prefix with all its extensions.  Float products are therefore
-        multiplied in topological order.
+        prefix with all its extensions.
         """
         self._budget_check()
         steps = []
@@ -543,30 +538,30 @@ class DiscreteModel:
             rows.append(tuple(a[x] for x in self.graph.names))
         return Dataset(self.graph.names, tuple(rows))
 
-    def to_float(self) -> DiscreteModel:
-        mechs = {
-            n: Mechanism(m.child, m.parents,
-                         {k: tuple(float(p) for p in row)
-                          for k, row in m.table.items()})
-            for n, m in self.mechanisms.items()}
-        return DiscreteModel(self.graph, self.domains, mechs)
-
     def __repr__(self) -> str:
         return f"DiscreteModel({self.graph!r})"
 
 
 def fit(variables: Sequence[str], domains: Mapping[str, Sequence],
         data: Dataset) -> JointDistribution:
-    """Empirical joint: exact frequencies count/n over the given shape."""
+    """Empirical joint: exact frequencies count/n over the given shape; a
+    missing column or a value outside its declared domain raises."""
+    for v in variables:
+        if v not in data.variables:
+            raise ModelError(f"dataset has no column {v!r}")
     pos = [data.variables.index(v) for v in variables]
+    doms = [tuple(domains[v]) for v in variables]
     counts: dict[tuple, int] = {}
-    for row in data.rows:
+    for r, row in enumerate(data.rows, 1):
         key = tuple(row[i] for i in pos)
+        for v, x, dom in zip(variables, key, doms):
+            if x not in dom:
+                raise ModelError(f"value {x!r} of {v!r} in dataset row "
+                                 f"{r} is outside its domain {dom!r}")
         counts[key] = counts.get(key, 0) + 1
     n = len(data.rows)
     probs = {k: Fraction(c, n) for k, c in counts.items()}
-    return JointDistribution(variables, [domains[v] for v in variables],
-                             probs)
+    return JointDistribution(variables, doms, probs)
 
 
 def graft_coin(model: DiscreteModel, treatment: str,
@@ -578,9 +573,9 @@ def graft_coin(model: DiscreteModel, treatment: str,
     g.index(treatment)
     if coin in g.names:
         raise ModelError(f"variable {coin!r} already exists")
-    kept = [(t, h) for t, h in g.edges if h != treatment]
-    kept.append((coin, treatment))
-    g2 = CausalGraph(g.variables + (Variable(coin),), kept)
+    kept = g.mutilate(cut_incoming=(treatment,)).edges
+    g2 = CausalGraph(g.variables + (Variable(coin),),
+                     kept + ((coin, treatment),))
     dom = model.domains[treatment]
     doms = dict(model.domains)
     doms[coin] = dom

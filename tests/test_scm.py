@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from causalid import (CausalGraph, DiscreteModel, GraphError,
+from causalid import (CausalGraph, Dataset, DiscreteModel, GraphError,
                       JointDistribution, Mechanism, ModelError,
                       PositivityError, ScaleError, StructuralEquationSpec,
-                      compile_mechanism, fit, graft_coin, independent,
-                      random_model)
+                      compile_mechanism, dependence_gap, fit, graft_coin,
+                      independent, random_model)
 from causalid.dsl import parse_model
 from conftest import binary_confounder_model, random_dag
 
@@ -171,6 +171,26 @@ def test_independent_cases(collider):
     assert not independent(j, {"X"}, {"Y"}, {"Z"})
 
 
+def test_dependence_gap_pairs_each_z_value_with_its_variable():
+    # Y copies X only when A = 2, so X and Y are dependent given A and
+    # B in whatever order Z lists them
+    g = CausalGraph(["A", "B", "X", "Y"],
+                    [("A", "X"), ("B", "X"), ("A", "Y"), ("X", "Y")])
+    half = (F(1, 2), F(1, 2))
+    m = DiscreteModel.from_tables(
+        g, {"A": (0, 1, 2), "B": (0, 1), "X": (0, 1), "Y": (0, 1)},
+        {"A": {(): (F(1, 3),) * 3},
+         "B": {(): half},
+         "X": {(a, b): half for a in range(3) for b in (0, 1)},
+         "Y": {(a, x): (F(x == 0), F(x == 1)) if a == 2 else half
+               for a in range(3) for x in (0, 1)}})
+    j = m.joint()
+    for zs in (("A", "B"), ("B", "A"), iter(["B", "A"])):
+        assert dependence_gap(j, {"X"}, {"Y"}, zs) == F(1, 4)
+    assert not independent(j, {"X"}, {"Y"}, ("B", "A"))
+    assert dependence_gap(j, ("Y",), ("X",), ("B",)) == F(1, 12)
+
+
 # -- interventions --------------------------------------------------------------
 
 def test_truncated_parentless_equals_conditional():
@@ -310,7 +330,6 @@ def test_sample_deterministic_and_csv_round_trip():
     d1 = m.sample(seed=42, n=50)
     d2 = m.sample(seed=42, n=50)
     assert d1 == d2
-    from causalid import Dataset
     assert Dataset.from_csv(d1.to_csv()).rows == \
         tuple(tuple(str(v) for v in r) for r in d1.rows)
 
@@ -343,6 +362,28 @@ def test_fit_exact_frequencies():
     assert all(p.denominator <= 8 for p in emp.probs.values())
 
 
+def test_fit_names_a_missing_column():
+    d = Dataset(("A",), (("0",), ("1",)))
+    with pytest.raises(ModelError, match="dataset has no column 'B'"):
+        fit(("A", "B"), {"A": ("0", "1"), "B": ("0", "1")}, d)
+
+
+def test_fit_names_a_value_outside_the_domain():
+    d = Dataset(("A",), (("0",), ("2",), ("0",)))
+    with pytest.raises(ModelError,
+                       match=r"value '2' of 'A' in dataset row 2 is outside"):
+        fit(("A",), {"A": ("0", "1")}, d)
+
+
+def test_from_csv_names_a_short_row():
+    assert Dataset.from_csv("A,B\n0,1\n").rows == (("0", "1"),)
+    with pytest.raises(ModelError,
+                       match="CSV line 3 has 1 value.* header's 2 columns"):
+        Dataset.from_csv("A,B\n0,1\n1\n0,0\n")
+    with pytest.raises(ModelError, match="empty dataset"):
+        Dataset.from_csv("")
+
+
 # -- randomized-trial grafting ----------------------------------------------------
 
 def test_graft_coin_makes_do_equal_see():
@@ -363,12 +404,7 @@ def test_graft_coin_makes_do_equal_see():
                 assert got.p({y: yv}) == want.p({y: yv})
 
 
-# -- modes and guards ---------------------------------------------------------------
-
-def test_float_mode_normalization():
-    m = binary_confounder_model().to_float()
-    assert abs(m.joint().total() - 1.0) <= 1e-12
-
+# -- exactness and guards ---------------------------------------------------------
 
 def test_rational_mode_exact_normalization():
     for seed in range(5):
@@ -397,6 +433,12 @@ def test_mechanism_validation():
             g, {"A": (0, 1), "B": (0, 1)},
             {"A": {(): (F(1, 2), F(1, 3))},
              "B": {(0,): (F(1), F(0)), (1,): (F(1), F(0))}})
+
+
+def test_from_tables_refuses_a_float_row():
+    g = CausalGraph(["A"])
+    with pytest.raises(ModelError, match="does not sum to exactly 1"):
+        DiscreteModel.from_tables(g, {"A": (0, 1)}, {"A": {(): (0.1, 0.9)}})
 
 
 def test_missing_domain_is_model_error():
@@ -472,15 +514,6 @@ def test_p_equals_scan_over_cells(seed):
         assert j.p(a) == want
     with pytest.raises(GraphError, match="unknown variable"):
         j.p({"Nope": 0})
-
-
-@given(st.integers(0, 10 ** 6))
-def test_float_joint_agrees_with_exact(seed):
-    m = _model_with_zeros(random.Random(seed))
-    exact, approx = m.joint(), m.to_float().joint()
-    assert approx.probs.keys() == exact.probs.keys()
-    assert all(abs(approx.probs[k] - float(pr)) <= 1e-12
-               for k, pr in exact.probs.items())
 
 
 def test_p_absent_cell_is_exact_zero():
@@ -595,3 +628,67 @@ def test_p_and_marginal_share_one_scan():
         {"X": "0", "Y": "1"})
     assert j.marginal(["Y", "X"]).probs == j.marginal(["X", "Y"]).probs
     assert j.probs.scans == 1
+
+
+@st.composite
+def sparse_tables(draw):
+    """A sparse exact table over A..D, two with 2 values and two with 3,
+    and its variable names in a shuffled order."""
+    names = ("A", "B", "C", "D")
+    doms = [tuple(range(n)) for n in draw(st.permutations((2, 2, 3, 3)))]
+    cells = list(product(*doms))
+    # weight 0 leaves a cell out of the table
+    weights = draw(st.lists(st.integers(0, 9), min_size=len(cells),
+                            max_size=len(cells)).filter(any))
+    probs = {c: F(w, sum(weights)) for c, w in zip(cells, weights) if w}
+    return JointDistribution(names, doms, probs), draw(st.permutations(names))
+
+
+def _brute_p(j: JointDistribution, a: dict):
+    return sum((pr for cell, pr in j.probs.items()
+                if all(cell[j.variables.index(n)] == v
+                       for n, v in a.items())), F(0))
+
+
+def _brute_cells(j: JointDistribution, names) -> list[dict]:
+    doms = [j.domains[j.variables.index(n)] for n in names]
+    return [dict(zip(names, vals)) for vals in product(*doms)]
+
+
+@given(sparse_tables(), st.data())
+def test_conditional_equals_brute_force_sums(table, data):
+    j, order = table
+    k = data.draw(st.integers(0, len(order)))
+    names, rest = order[:k], order[k:]
+    given_names = rest[:data.draw(st.integers(0, len(rest)))]
+    given = data.draw(st.sampled_from(_brute_cells(j, given_names)))
+    norm = _brute_p(j, given)
+    if norm == 0:
+        with pytest.raises(PositivityError, match="probability zero"):
+            j.conditional(names, given)
+        return
+    c = j.conditional(names, given)
+    assert c.variables == tuple(n for n in j.variables if n in names)
+    for a in _brute_cells(j, c.variables):
+        assert c.p(a) == _brute_p(j, {**a, **given}) / norm
+
+
+@given(sparse_tables(), st.data())
+def test_dependence_gap_equals_brute_force_sums(table, data):
+    j, order = table
+    k = data.draw(st.integers(0, 2))
+    i = data.draw(st.integers(k + 1, 3))
+    zs, xs, ys = order[:k], order[k:i], order[i:]
+    want = F(0)
+    for z in _brute_cells(j, zs):
+        pz = _brute_p(j, z)
+        if pz == 0:
+            continue
+        for x in _brute_cells(j, xs):
+            for y in _brute_cells(j, ys):
+                lhs = _brute_p(j, {**x, **y, **z}) / pz
+                rhs = (_brute_p(j, {**x, **z}) / pz
+                       * _brute_p(j, {**y, **z}) / pz)
+                want = max(want, abs(lhs - rhs))
+    assert dependence_gap(j, xs, ys, zs) == want
+    assert independent(j, xs, ys, zs) == (want == 0)

@@ -13,6 +13,14 @@ Expressions carry variable names only; domains and values come from a
 model at evaluation time.  Primed variables such as x' are ordinary
 bound variables stored with a numeric suffix (x__1) and rendered
 primed, so graph variable names may not end in ``__<digits>``.
+
+The shape of the tree (a sum's body, a product's factors, a quotient's
+numerator and denominator) is stated once, in ``_parts`` and
+``_rebuilt``: every structural walk (term and name queries, binder
+checks, the canonical form, display cleanup) and the derivation replay,
+whose positions are tuples of part indices, reach sub-expressions only
+through them.  Rendering, the canonical sort key and evaluation branch
+on each node kind, since each kind means something different there.
 """
 
 from __future__ import annotations
@@ -139,21 +147,42 @@ def P(targets, given=(), do=()) -> ProbTerm:
     return ProbTerm(tt, gg, dd)
 
 
-# -- structure queries -------------------------------------------------
+# -- structure ---------------------------------------------------------
+
+# Recursive walks here are module-level functions, never self-calling
+# closures: such a closure is a reference cycle that lives, with all it
+# refers to, until the cyclic garbage collector runs.
+
+def _parts(e: Expr) -> tuple:
+    """The sub-expressions of ``e`` in order: a sum's body, a product's
+    factors, a quotient's numerator then denominator; none for a term."""
+    if isinstance(e, ProbTerm):
+        return ()
+    if isinstance(e, Sum):
+        return (e.body,)
+    if isinstance(e, Product):
+        return e.factors
+    if isinstance(e, Quotient):
+        return (e.num, e.den)
+    raise ExprError(f"not an expression: {e!r}")
+
+
+def _rebuilt(e: Expr, parts) -> Expr:
+    """The node ``e`` with its sub-expressions replaced by ``parts``."""
+    if isinstance(e, Sum):
+        return Sum(e.bound, parts[0])
+    if isinstance(e, Product):
+        return Product(tuple(parts))
+    if isinstance(e, Quotient):
+        return Quotient(*parts)
+    return e
+
 
 def walk_terms(e: Expr):
     if isinstance(e, ProbTerm):
         yield e
-    elif isinstance(e, Sum):
-        yield from walk_terms(e.body)
-    elif isinstance(e, Product):
-        for f in e.factors:
-            yield from walk_terms(f)
-    elif isinstance(e, Quotient):
-        yield from walk_terms(e.num)
-        yield from walk_terms(e.den)
-    else:
-        raise ExprError(f"not an expression: {e!r}")
+    for part in _parts(e):
+        yield from walk_terms(part)
 
 
 def is_do_free(e: Expr) -> bool:
@@ -166,37 +195,18 @@ def free_variables(e: Expr, _bound: frozenset[str] = frozenset()
         return frozenset(n for n in e.targets + e.given + e.do
                          if n not in _bound)
     if isinstance(e, Sum):
-        return free_variables(e.body, _bound | frozenset(e.bound))
-    if isinstance(e, Product):
-        out = frozenset()
-        for f in e.factors:
-            out |= free_variables(f, _bound)
-        return out
-    return free_variables(e.num, _bound) | free_variables(e.den, _bound)
+        _bound = _bound | frozenset(e.bound)
+    out = frozenset()
+    for part in _parts(e):
+        out |= free_variables(part, _bound)
+    return out
 
 
 def used_names(e: Expr) -> frozenset[str]:
-    out = set()
-    for t in walk_terms(e):
-        out.update(t.targets + t.given + t.do)
-    _add_binders(e, out)
-    return frozenset(out)
-
-
-# Recursive walks here are module-level functions, never self-calling
-# closures: such a closure is a reference cycle that lives, with all it
-# refers to, until the cyclic garbage collector runs.
-
-def _add_binders(x: Expr, out: set) -> None:
-    if isinstance(x, Sum):
-        out.update(x.bound)
-        _add_binders(x.body, out)
-    elif isinstance(x, Product):
-        for f in x.factors:
-            _add_binders(f, out)
-    elif isinstance(x, Quotient):
-        _add_binders(x.num, out)
-        _add_binders(x.den, out)
+    """Every name in ``e``: those its terms read and its sums bind."""
+    names = (e.targets + e.given + e.do if isinstance(e, ProbTerm)
+             else e.bound if isinstance(e, Sum) else ())
+    return frozenset(names).union(*[used_names(part) for part in _parts(e)])
 
 
 def validate(e: Expr, _scope: frozenset[str] = frozenset()) -> None:
@@ -208,14 +218,9 @@ def validate(e: Expr, _scope: frozenset[str] = frozenset()) -> None:
         clash = set(e.bound) & _scope
         if clash:
             raise ExprError(f"bound variable rebinds name in scope: {clash}")
-        validate(e.body, _scope | frozenset(e.bound))
-        return
-    if isinstance(e, Product):
-        for f in e.factors:
-            validate(f, _scope)
-        return
-    validate(e.num, _scope)
-    validate(e.den, _scope)
+        _scope = _scope | frozenset(e.bound)
+    for part in _parts(e):
+        validate(part, _scope)
 
 
 # -- rendering ---------------------------------------------------------
@@ -418,28 +423,6 @@ def parse(text: str) -> Expr:
 
 # -- canonical form ----------------------------------------------------
 
-def _flatten(e: Expr) -> Expr:
-    if isinstance(e, ProbTerm):
-        return e
-    if isinstance(e, Sum):
-        body = _flatten(e.body)
-        bound = e.bound
-        while isinstance(body, Sum):
-            bound = bound + body.bound
-            body = body.body
-        return Sum(bound, body)
-    if isinstance(e, Product):
-        out: list[Expr] = []
-        for f in e.factors:
-            ff = _flatten(f)
-            if isinstance(ff, Product):
-                out.extend(ff.factors)
-            else:
-                out.append(ff)
-        return out[0] if len(out) == 1 else Product(tuple(out))
-    return Quotient(_flatten(e.num), _flatten(e.den))
-
-
 def _skeleton_key(e: Expr, env: Mapping[str, str]) -> str:
     """Serialization with bound names replaced by base markers, so factor
     ordering does not depend on the eventual alpha-renaming."""
@@ -466,7 +449,7 @@ def canonicalize(e: Expr) -> Expr:
     factors structurally, and alpha-rename bound variables in order of
     appearance.  Evaluation is invariant under canonicalization."""
     validate(e)
-    e = _sort_structure(_flatten(e))
+    e = _canonical(e)
     counters = {}
     for n in free_variables(e):
         b, k = split_name(n)
@@ -474,17 +457,26 @@ def canonicalize(e: Expr) -> Expr:
     return _rename(e, {}, counters)
 
 
-def _sort_structure(x: Expr) -> Expr:
-    if isinstance(x, ProbTerm):
-        return x
+def _canonical(x: Expr) -> Expr:
+    """One bottom-up pass: a sum absorbs a sum body's binders, a product
+    splices in product factors, then binders are sorted by base and
+    factors by skeleton.  The parts come back canonical, so one level
+    of merging suffices, and as the sorts are stable, ties keep the
+    order they would have in the fully flattened node."""
+    parts = [_canonical(part) for part in _parts(x)]
     if isinstance(x, Sum):
-        bound = tuple(sorted(x.bound, key=lambda b: (base_name(b),)))
-        return Sum(bound, _sort_structure(x.body))
+        bound, body = x.bound, parts[0]
+        if isinstance(body, Sum):
+            bound += body.bound
+            body, = _parts(body)
+        return Sum(tuple(sorted(bound, key=base_name)), body)
     if isinstance(x, Product):
-        fs = [_sort_structure(f) for f in x.factors]
+        fs = []
+        for f in parts:
+            fs.extend(_parts(f) if isinstance(f, Product) else (f,))
         fs.sort(key=lambda f: _skeleton_key(f, {}))
         return Product(tuple(fs))
-    return Quotient(_sort_structure(x.num), _sort_structure(x.den))
+    return _rebuilt(x, parts)
 
 
 def _rename(x: Expr, env: Mapping[str, str], counters: dict) -> Expr:
@@ -495,35 +487,24 @@ def _rename(x: Expr, env: Mapping[str, str], counters: dict) -> Expr:
                         tuple(env.get(n, n) for n in x.given),
                         tuple(env.get(n, n) for n in x.do))
     if isinstance(x, Sum):
-        env2 = dict(env)
-        fresh = []
+        env = dict(env)
         for b in x.bound:
             base = base_name(b)
             counters[base] = counters.get(base, 0) + 1
-            nb = f"{base}__{counters[base]}"
-            env2[b] = nb
-            fresh.append(nb)
-        return Sum(tuple(sorted(fresh, key=split_name)),
-                   _rename(x.body, env2, counters))
-    if isinstance(x, Product):
-        return Product(tuple(_rename(f, env, counters) for f in x.factors))
-    return Quotient(_rename(x.num, env, counters),
-                    _rename(x.den, env, counters))
+            env[b] = f"{base}__{counters[base]}"
+    parts = [_rename(part, env, counters) for part in _parts(x)]
+    if isinstance(x, Sum):
+        return Sum(_sorted_names(env[b] for b in x.bound), parts[0])
+    return _rebuilt(x, parts)
 
 
 def tidy(e: Expr) -> Expr:
     """Commutative display cleanup: inside a product, move sums after
     plain factors so renders need no parentheses.  Semantics unchanged."""
-    if isinstance(e, ProbTerm):
-        return e
-    if isinstance(e, Sum):
-        return Sum(e.bound, tidy(e.body))
+    parts = [tidy(part) for part in _parts(e)]
     if isinstance(e, Product):
-        fs = [tidy(f) for f in e.factors]
-        plain = [f for f in fs if not isinstance(f, Sum)]
-        sums = [f for f in fs if isinstance(f, Sum)]
-        return Product(tuple(plain + sums))
-    return Quotient(tidy(e.num), tidy(e.den))
+        parts.sort(key=lambda f: isinstance(f, Sum))
+    return _rebuilt(e, parts)
 
 
 def alpha_equal(a: Expr, b: Expr) -> bool:

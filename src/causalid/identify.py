@@ -51,8 +51,8 @@ from itertools import combinations, permutations, product
 
 from .dsep import d_separated
 from .expr import (DerivationStep, Expr, GuardFact, P, ProbTerm, Product,
-                   Sum, base_name, evaluate, fresh_name, is_do_free, tidy,
-                   used_names)
+                   Sum, _parts, _rebuilt, base_name, evaluate, fresh_name,
+                   is_do_free, tidy, used_names)
 from .graph import CausalGraph, GraphError, _Record
 from .scm import random_model
 
@@ -542,28 +542,26 @@ class _Searcher:
 
 # -- plan replay into a concrete derivation --------------------------------
 
-def _at(e: Expr, path: tuple):
-    for step in path:
-        if step == "sum":
-            e = e.body
-        else:
-            e = e.factors[step[1]]
+def _at(e: Expr, path: tuple[int, ...]) -> Expr:
+    for i in path:
+        e = _parts(e)[i]
     return e
 
 
-def _replace(e: Expr, path: tuple, new: Expr) -> Expr:
+def _replace(e: Expr, path: tuple[int, ...], new: Expr) -> Expr:
     if not path:
         return new
-    head, rest = path[0], path[1:]
-    if head == "sum":
-        return Sum(e.bound, _replace(e.body, rest, new))
-    i = head[1]
-    factors = list(e.factors)
-    factors[i] = _replace(factors[i], rest, new)
-    return Product(tuple(factors))
+    parts = list(_parts(e))
+    parts[path[0]] = _replace(parts[path[0]], path[1:], new)
+    return _rebuilt(e, parts)
 
 
 class _Replayer:
+    """Replays a plan into concrete derivation steps on one formula.  A
+    plan's position in the formula is a path of part indices (see
+    ``expr._parts``): a marginalization's term is part 0 of its sum, a
+    chain split's two terms are parts 0 and 1 of their product."""
+
     def __init__(self, g: CausalGraph, root: Expr):
         self.g = g
         self.root = root
@@ -599,15 +597,15 @@ class _Replayer:
                              term.do)
             self._emit("marginalize", None, path,
                        Sum(tuple(sorted(bound)), inner))
-            self.run(plan.rest, path + ("sum",))
+            self.run(plan.rest, path + (0,))
         else:  # a _Chain
             snames = tuple(names[b] for b in plan.split)
             keep = tuple(n for n in term.targets if n not in snames)
             first = ProbTerm(keep, term.given + snames, term.do)
             second = ProbTerm(snames, term.given, term.do)
             self._emit("chain", None, path, Product((first, second)))
-            self.run(plan.second, path + (("factor", 1),))
-            self.run(plan.first, path + (("factor", 0),))
+            self.run(plan.second, path + (1,))
+            self.run(plan.first, path + (0,))
 
 
 # -- known non-identifiable shapes ----------------------------------------

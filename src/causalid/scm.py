@@ -379,13 +379,14 @@ class DiscreteModel:
                 raise ModelError(
                     f"mechanism for {n!r} has {len(m.table)} rows, "
                     f"expected {expect}")
+            table = {}
             for pa, row in m.table.items():
                 if len(row) != len(self.domains[n]):
                     raise ModelError(
                         f"row {pa!r} for {n!r} has {len(row)} entries, "
                         f"domain has {len(self.domains[n])}")
-                _check_row(row, f"mechanism for {n!r}, row {pa!r}")
-            self.mechanisms[n] = m
+                table[pa] = _check_row(row, f"mechanism for {n!r}, row {pa!r}")
+            self.mechanisms[n] = Mechanism(n, m.parents, table)
         self._joint: JointDistribution | None = None
 
     # -- construction helpers -----------------------------------------
@@ -396,15 +397,13 @@ class DiscreteModel:
                     tables: Mapping[str, Mapping[tuple, Sequence]]
                     ) -> DiscreteModel:
         """Build from raw row dictionaries keyed by parent values in
-        declaration order."""
+        declaration order; the constructor checks the rows."""
         mechs = {}
         for n in graph.names:
             ps = graph.ordered(graph.parents(n))
             rows = {tuple(k) if isinstance(k, tuple) else (k,) if k != ()
                     else (): tuple(v) for k, v in tables[n].items()}
-            norm = {k: _check_row(v, f"mechanism for {n!r}, row {k!r}")
-                    for k, v in rows.items()}
-            mechs[n] = Mechanism(n, ps, norm)
+            mechs[n] = Mechanism(n, ps, rows)
         return cls(graph, domains, mechs)
 
     def cells(self) -> int:

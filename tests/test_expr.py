@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 
 from causalid import (CausalGraph, DerivationStep, DiscreteModel, ExprError,
                       GuardFact, P, PositivityError, ProbTerm, Product,
-                      Quotient, Sum, alpha_equal, backdoor_formula,
-                      canonicalize, evaluate, frontdoor_formula, is_do_free,
-                      parse, random_model, render)
-from causalid.expr import (free_variables, fresh_name, name_from_text,
-                           name_to_text, tidy, used_names, validate)
+                      Query, Quotient, Sum, alpha_equal, backdoor_formula,
+                      canonicalize, evaluate, frontdoor_formula, identify,
+                      is_do_free, parse, random_model, render)
+from causalid.expr import (base_name, free_variables, fresh_name,
+                           name_from_text, name_to_text, tidy, used_names,
+                           validate, walk_terms)
 
-from causalid.dsl import parse_model
+from causalid.dsl import parse_graph, parse_model
 
 from conftest import binary_confounder_model, random_dag
 
@@ -131,7 +132,9 @@ def _random_expr(rng: random.Random, names, depth=0):
     targets = pool[:k]
     rest = pool[k:]
     giv = rest[:rng.randint(0, min(2, len(rest)))]
-    term = ProbTerm(tuple(targets), tuple(giv))
+    rest = rest[len(giv):]
+    do = rest[:rng.randint(0, min(2, len(rest)))]
+    term = ProbTerm(tuple(targets), tuple(giv), tuple(do))
     if depth >= 3 or kind < 0.35:
         return term
     if kind < 0.55:
@@ -140,7 +143,6 @@ def _random_expr(rng: random.Random, names, depth=0):
         if not free:
             return term
         base = rng.choice(free)
-        from causalid.expr import used_names
         nb = fresh_name(base, used_names(body))
 
         def sub(e):
@@ -159,6 +161,49 @@ def _random_expr(rng: random.Random, names, depth=0):
                              for _ in range(rng.randint(2, 3))))
     return Quotient(_random_expr(rng, names, depth + 1),
                     _random_expr(rng, names, depth + 1))
+
+
+def _nodes(e, scope=frozenset()):
+    """Every node of ``e`` with the names bound around it, parents
+    first, spelled out per node kind as a reference for the walkers."""
+    yield e, scope
+    if isinstance(e, Sum):
+        yield from _nodes(e.body, scope | frozenset(e.bound))
+    elif isinstance(e, Product):
+        for f in e.factors:
+            yield from _nodes(f, scope)
+    elif isinstance(e, Quotient):
+        yield from _nodes(e.num, scope)
+        yield from _nodes(e.den, scope)
+
+
+_WALK_MODEL = random_model(random_dag(random.Random(1), 4, 0.5),
+                           random.Random(2), cards=(2, 3))
+
+
+@given(st.integers(0, 10**6))
+def test_walkers_match_brute_force(seed):
+    rng = random.Random(seed)
+    names = list(_WALK_MODEL.graph.names)
+    e = _random_expr(rng, names)
+    if seed % 2:  # a binder that no term reads
+        e = Sum((f"{names[0]}__9",), e)
+    nodes = list(_nodes(e))
+    terms = [t for t, _ in nodes if isinstance(t, ProbTerm)]
+    assert list(walk_terms(e)) == terms
+    assert free_variables(e) == {
+        n for t, scope in nodes if isinstance(t, ProbTerm)
+        for n in t.targets + t.given + t.do if n not in scope}
+    assert used_names(e) == (
+        {n for t in terms for n in t.targets + t.given + t.do}
+        | {b for s, _ in nodes if isinstance(s, Sum) for b in s.bound})
+    assert is_do_free(e) == all(not t.do for t in terms)
+    c = canonicalize(e)
+    assert canonicalize(c) == c
+    binding = {n: rng.choice(_WALK_MODEL.domains[base_name(n)])
+               for n in free_variables(e)}
+    assert evaluate(tidy(e), _WALK_MODEL, binding) == \
+        evaluate(e, _WALK_MODEL, binding)
 
 
 @given(st.integers(0, 500))
@@ -347,16 +392,23 @@ def test_evaluate_leaves_no_cycle_behind(monkeypatch):
 def _recursive_walks():
     e = frontdoor_formula(("X",), ("Y",), ("Z",))
     chain = CausalGraph(["X", "Z", "Y"], [("X", "Z"), ("Z", "Y")])
+    frontdoor = parse_graph((DEMO / "frontdoor.graph").read_text())
     return {
         "render": lambda: render(e, "latex"),
         "used_names": lambda: used_names(e),
         "canonicalize": lambda: canonicalize(e),
         "paths_between": lambda: list(chain.paths_between("X", "Y")),
+        "tidy": lambda: tidy(e),
+        "free_variables": lambda: free_variables(e),
+        "validate": lambda: validate(e),
+        "walk_terms": lambda: list(walk_terms(e)),
+        "identify": lambda: identify(Query(frontdoor, ("X",), ("Y",))),
     }
 
 
 @pytest.mark.parametrize("name", ["render", "used_names", "canonicalize",
-                                  "paths_between"])
+                                  "paths_between", "tidy", "free_variables",
+                                  "validate", "walk_terms", "identify"])
 def test_recursive_walks_leave_no_cycle_behind(name):
     # with the cyclic collector off, repeated walks leave nothing that
     # only a collection can free

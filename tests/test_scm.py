@@ -12,6 +12,7 @@ from causalid import (CausalGraph, Dataset, DiscreteModel, GraphError,
                       PositivityError, ScaleError, StructuralEquationSpec,
                       compile_mechanism, dependence_gap, fit, graft_coin,
                       independent, random_model)
+from causalid import scm
 from causalid.dsl import parse_model
 from conftest import binary_confounder_model, random_dag
 
@@ -439,6 +440,35 @@ def test_from_tables_refuses_a_float_row():
     g = CausalGraph(["A"])
     with pytest.raises(ModelError, match="does not sum to exactly 1"):
         DiscreteModel.from_tables(g, {"A": (0, 1)}, {"A": {(): (0.1, 0.9)}})
+
+
+def test_constructor_stores_exact_rows():
+    # a float row that sums to exactly 1 in binary is kept as Fractions
+    m = DiscreteModel(CausalGraph(["A"]), {"A": (0, 1)},
+                      {"A": Mechanism("A", (), {(): (0.25, 0.75)})})
+    assert m.mechanisms["A"].table == {(): (F(1, 4), F(3, 4))}
+    probs = m.joint().probs
+    assert probs == {(0,): F(1, 4), (1,): F(3, 4)}
+    assert all(type(v) is F for v in probs.values())
+
+
+def test_from_tables_checks_each_row_once(monkeypatch):
+    calls = []
+    check_row = scm._check_row
+
+    def counting_check_row(probs, where):
+        calls.append(where)
+        return check_row(probs, where)
+
+    monkeypatch.setattr(scm, "_check_row", counting_check_row)
+    g = CausalGraph(["A", "B"], [("A", "B")])
+    DiscreteModel.from_tables(
+        g, {"A": (0, 1), "B": (0, 1)},
+        {"A": {(): (F(1, 2), F(1, 2))},
+         "B": {0: (F(1, 3), F(2, 3)), 1: (F(1), F(0))}})
+    assert calls == ["mechanism for 'A', row ()",
+                     "mechanism for 'B', row (0,)",
+                     "mechanism for 'B', row (1,)"]
 
 
 def test_missing_domain_is_model_error():

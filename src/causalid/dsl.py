@@ -61,20 +61,28 @@ def _scan(text: str):
 
 
 def _graph_from_json(text: str) -> CausalGraph:
+    """The JSON mirror as text-format directives at line 1, once each
+    name is a string, each ``latent`` flag a boolean, each edge a pair."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, f"bad JSON: {exc.msg}") from None
+    lines = []
     try:
-        variables = [Variable(v["name"], bool(v.get("latent", False)))
-                     for v in doc["vars"]]
-        edges = [tuple(e) for e in doc.get("edges", [])]
+        for v in doc["vars"]:
+            name, latent = v["name"], v.get("latent", False)
+            if not (isinstance(name, str) and isinstance(latent, bool)):
+                raise TypeError(f"variable {json.dumps(v)} needs a string "
+                                "name and a boolean latent flag")
+            lines.append((1, ["var", name] + ["latent"] * latent))
+        for e in doc.get("edges", []):
+            if not (isinstance(e, list) and len(e) == 2
+                    and all(isinstance(n, str) for n in e)):
+                raise TypeError(f"edge {json.dumps(e)} is not a pair of names")
+            lines.append((1, ["edge", e[0], "->", e[1]]))
     except (KeyError, TypeError) as exc:
         raise ParseError(1, f"bad graph JSON structure: {exc}") from None
-    try:
-        return CausalGraph(variables, edges)
-    except GraphError as exc:
-        raise ParseError(1, str(exc)) from None
+    return _graph_from_directives(lines)
 
 
 def graph_to_json(g: CausalGraph) -> str:
@@ -266,14 +274,14 @@ def parse_model(text: str) -> DiscreteModel:
 
     mechanisms = {}
     for n in g.names:
-        expected_keys = set(product(*[domains[p] for p in parent_order[n]]))
-        have = set(rows[n])
-        if have != expected_keys:
-            lack = sorted(expected_keys - have)
+        # each row was checked to assign every parent a domain value, so
+        # a row can be missing but never surplus
+        lack = set(product(*[domains[p] for p in parent_order[n]]))
+        lack -= rows[n].keys()
+        if lack:
             raise ParseError(
                 line_of[n], f"cpt for {n!r} misses a row for parent "
-                f"assignment {dict(zip(parent_order[n], lack[0]))!r}"
-                if lack else f"cpt for {n!r} has surplus rows")
+                f"assignment {dict(zip(parent_order[n], min(lack)))!r}")
         mechanisms[n] = Mechanism(n, parent_order[n], rows[n])
     return DiscreteModel(g, domains, mechanisms)
 

@@ -215,9 +215,10 @@ def validate(e: Expr, _scope: frozenset[str] = frozenset()) -> None:
     if isinstance(e, ProbTerm):
         return
     if isinstance(e, Sum):
-        clash = set(e.bound) & _scope
+        clash = _sorted_names(set(e.bound) & _scope)
         if clash:
-            raise ExprError(f"bound variable rebinds name in scope: {clash}")
+            raise ExprError("bound variable rebinds name in scope: "
+                            + ", ".join(map(name_to_text, clash)))
         _scope = _scope | frozenset(e.bound)
     for part in _parts(e):
         validate(part, _scope)

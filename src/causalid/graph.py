@@ -3,7 +3,8 @@
 Nodes are partitioned into observed and latent variables.  Latent
 confounders are ordinary latent nodes; a declared bidirected arc
 ``A <-> B`` is expanded into a fresh latent parent of both endpoints, so
-one graph type serves every criterion.
+one graph type serves every criterion, and the latent projection
+(``CausalGraph.projection``) returns that same type.
 
 Graphs are immutable after construction and all operations are pure, so
 values can be shared freely across threads.  Each graph memoizes the cut
@@ -16,6 +17,7 @@ answer.
 from __future__ import annotations
 
 import re
+from itertools import combinations, count
 from operator import attrgetter
 from typing import Iterable, Iterator
 
@@ -128,11 +130,15 @@ class CausalGraph:
                  bidirected: Iterable = ()):
         vs = [_as_variable(v) for v in variables]
         es = [tuple(e) for e in edges]
+        taken = {v.name for v in vs}
         for a, b in bidirected:
-            u = self._fresh_confounder_name(a, b, {v.name for v in vs})
+            u = f"U_{a}_{b}"  # then U_a_b_2, ...: never the reserved form
+            fresh = map((u.rstrip("_") + "_{}").format, count(2))
+            while u in taken or _RESERVED_RE.search(u):
+                u = next(fresh)
+            taken.add(u)
             vs.append(Variable(u, latent=True))
-            es.append((u, a))
-            es.append((u, b))
+            es += [(u, a), (u, b)]
 
         seen: set[str] = set()
         for v in vs:
@@ -170,15 +176,6 @@ class CausalGraph:
         self._topo: tuple[str, ...] | None = self._topological_names()
         self._cuts: dict[tuple[frozenset[str], frozenset[str]],
                          CausalGraph] = {}
-
-    @staticmethod
-    def _fresh_confounder_name(a: str, b: str, taken: set[str]) -> str:
-        base = f"U_{a}_{b}"
-        name, k = base, 1
-        while name in taken:
-            k += 1
-            name = f"{base}_{k}"
-        return name
 
     # -- basic queries ------------------------------------------------
 
@@ -343,6 +340,23 @@ class CausalGraph:
         g._cuts = {}
         return g
 
+    def projection(self) -> CausalGraph:
+        """The latent projection onto the observed nodes, in declaration
+        order: ``a -> b`` when a directed path from a to b has only latent
+        interior nodes, and ``a <-> b`` (the fresh latent parent ``U_a_b``)
+        when one latent reaches both a and b along such paths."""
+        reach: dict[str, frozenset[str]] = {}  # observed ends of such paths
+        for v in reversed(self.topological_order()):  # children first
+            reach[v.name] = frozenset().union(*(
+                reach[c] if c in self.latent_names else (c,)
+                for c in self._children[v.name]))
+        arcs = {pair for u in self.latent_names
+                for pair in combinations(self.ordered(reach[u]), 2)}
+        return CausalGraph(
+            [v for v in self.variables if v.observed],
+            [(a, b) for a in self.observed_names for b in reach[a]],
+            sorted(arcs, key=lambda e: tuple(map(self.index, e))))
+
     def with_edge(self, tail: str, head: str) -> CausalGraph:
         self.index(tail)
         self.index(head)
@@ -385,29 +399,6 @@ class CausalGraph:
                 f"path enumeration limited to {PATH_ENUM_GUARD} nodes "
                 f"(graph has {len(self.names)})")
         yield from _paths_on(self, b, (a,), ())
-
-    def confounding_arcs(self) -> tuple[Path, ...]:
-        """Collider-free paths joining two observed nodes through latent
-        interior nodes only."""
-        arcs = []
-        obs = self.observed_names
-        for i in range(len(obs)):
-            for j in range(i + 1, len(obs)):
-                for p in self.paths_between(obs[i], obs[j]):
-                    interior = p.nodes[1:-1]
-                    if not interior:
-                        continue
-                    if any(n not in self.latent_names for n in interior):
-                        continue
-                    if any(p.junction(k) == "collider"
-                           for k in range(1, len(p.nodes) - 1)):
-                        continue
-                    arcs.append(p)
-        arcs.sort(key=lambda p: (self.index(p.nodes[0]),
-                                 self.index(p.nodes[-1]),
-                                 len(p.nodes),
-                                 tuple(self.index(n) for n in p.nodes)))
-        return tuple(arcs)
 
     # -- equality / repr ------------------------------------------------
 

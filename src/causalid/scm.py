@@ -372,20 +372,19 @@ class DiscreteModel:
                 raise ModelError(
                     f"mechanism parents {sorted(m.parents)} for {n!r} do not "
                     f"match graph parents {sorted(graph.parents(n))}")
-            expect = 1
-            for p in m.parents:
-                expect *= len(self.domains[p])
-            if len(m.table) != expect:
-                raise ModelError(
-                    f"mechanism for {n!r} has {len(m.table)} rows, "
-                    f"expected {expect}")
             table = {}
-            for pa, row in m.table.items():
+            for pa in product(*(self.domains[p] for p in m.parents)):
+                row = m.row(pa)
                 if len(row) != len(self.domains[n]):
                     raise ModelError(
                         f"row {pa!r} for {n!r} has {len(row)} entries, "
                         f"domain has {len(self.domains[n])}")
                 table[pa] = _check_row(row, f"mechanism for {n!r}, row {pa!r}")
+            if len(table) != len(m.table):
+                pa = next(k for k in m.table if k not in table)
+                raise ModelError(
+                    f"mechanism for {n!r} has a row for {pa!r}, which is "
+                    f"no assignment of its parents {m.parents!r}")
             self.mechanisms[n] = Mechanism(n, m.parents, table)
         self._joint: JointDistribution | None = None
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -272,9 +273,25 @@ def test_eval_usage_errors(files, capsys):
             (("--formula", "p(Y|X)", "--do", "X", "--check"),
              "--check on a formula needs --do and --target to name the "
              "oracle quantity"),
-            (("--do", "X"), "--do needs --target")]:
+            (("--do", "X"), "--do needs --target"),
+            (("--formula", "sum_X' sum_X' p(Y,X')", "--target", "Y"),
+             "bound variable rebinds name in scope: X'")]:
         assert run(capsys, "eval", files["confounder.model"], *argv) == \
             (2, "", f"error: {message}\n")
+
+
+def test_binder_clash_names_repeat_across_hash_seeds():
+    # the clashing names are printed sorted, so the message is the same
+    # in every process, whatever its string-hash seed
+    argv = [sys.executable, "-m", "causalid.cli", "eval",
+            str(DEMO / "confounder.model"), "--formula",
+            "sum_{Z,X} sum_{Z,X} p(Y,Z,X)", "--target", "Y"]
+    runs = {(done.returncode, done.stdout, done.stderr) for done in (
+        subprocess.run(argv, capture_output=True, text=True,
+                       env={**os.environ, "PYTHONHASHSEED": str(seed)})
+        for seed in range(1, 5))}
+    assert runs == {(2, "", "error: bound variable rebinds name in scope: "
+                             "X, Z\n")}
 
 
 def test_eval_json_document(files, capsys):

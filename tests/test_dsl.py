@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from causalid import (ParseError, graph_to_dsl, graph_to_json, model_to_dsl,
                       parse_graph, parse_model)
@@ -32,6 +34,28 @@ def test_parse_graph_basic():
 def test_parse_graph_arc_expansion():
     g = parse_graph("var A\nvar B\narc A <-> B\n")
     assert g.latent_names == {"U_A_B"}
+    # a repeated arc gets a second fresh parent, also when the first ends in _
+    g = parse_graph("var A\nvar B_\narc A <-> B_\narc A <-> B_\n")
+    assert g.latent_names == {"U_A_B_", "U_A_B_2"}
+    # an arc file is the projection of the explicit-latent bow
+    bow = parse_graph("var U latent\nvar X\nvar Y\n"
+                      "edge U -> X\nedge U -> Y\nedge X -> Y\n")
+    arcs = parse_graph("var X\nvar Y\nedge X -> Y\narc X <-> Y\n")
+    assert arcs == bow.projection()
+
+
+@given(st.integers(0, 5000))
+def test_arc_file_of_a_projection_parses_back_to_it(seed):
+    # the projection written with one ``arc`` per fresh latent parent
+    rng = random.Random(seed)
+    P = random_dag(rng, n=rng.randint(3, 8), p=rng.uniform(0.2, 0.6),
+                   latent=rng.uniform(0.1, 0.5)).projection()
+    text = [f"var {n}" for n in P.observed_names]
+    text += [f"edge {t} -> {h}" for t, h in P.edges
+             if t not in P.latent_names]
+    text += ["arc {} <-> {}".format(*P.ordered(P.children(u)))
+             for u in P.names if u in P.latent_names]
+    assert parse_graph("\n".join(text)) == P
 
 
 def test_parse_errors_carry_line_numbers():
@@ -74,6 +98,23 @@ def test_json_detection_and_errors():
     with pytest.raises(ParseError) as info:
         parse_graph('{"vars": [{"name": "A"}], "edges": [["A", "B"]]}')
     assert str(info.value) == "line 1: unknown variable 'B' in edge A->B"
+
+
+@pytest.mark.parametrize("doc, message", [
+    ('{"vars": [{"name": "X"}, {"name": "Y"}], "edges": [["X", "Y", "Z"]]}',
+     'edge ["X", "Y", "Z"] is not a pair of names'),
+    ('{"vars": [{"name": "X"}, {"name": "Y"}], "edges": ["XY"]}',
+     'edge "XY" is not a pair of names'),
+    ('{"vars": [{"name": "X", "latent": "false"}]}',
+     'variable {"name": "X", "latent": "false"} needs a string name and a '
+     'boolean latent flag'),
+    ('{"vars": [{"name": 5}]}',
+     'variable {"name": 5} needs a string name and a boolean latent flag'),
+], ids=["three-names", "string-edge", "string-latent", "number-name"])
+def test_json_graph_shape_is_checked(doc, message):
+    with pytest.raises(ParseError) as info:
+        parse_graph(doc)
+    assert str(info.value) == f"line 1: bad graph JSON structure: {message}"
 
 
 MODEL = """\

@@ -1,10 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from causalid import CausalGraph, GraphError, Path, ScaleError
+from causalid import CausalGraph, GraphError, Path, ScaleError, d_separated
 
-from conftest import random_dag
+from conftest import disjoint_sets, random_dag
 
 
 def test_topological_order_chain(chain):
@@ -121,20 +123,79 @@ def test_z_hat_frontdoor(frontdoor_graph):
     assert frontdoor_graph.z_hat({"X"}, {"Z"}, ()) == {"Z"}
 
 
-def test_confounding_arcs(frontdoor_graph):
-    arcs = frontdoor_graph.confounding_arcs()
-    assert [p.render() for p in arcs] == ["X <- U -> Y"]
+def test_projection_frontdoor(frontdoor_graph):
+    P = frontdoor_graph.projection()
+    assert P.names == ("X", "Z", "Y", "U_X_Y")
+    assert P.latent_names == {"U_X_Y"}
+    assert P == CausalGraph(["X", "Z", "Y"], [("X", "Z"), ("Z", "Y")],
+                            bidirected=[("X", "Y")])
 
 
-def test_confounding_arcs_fully_observed(chain):
-    assert chain.confounding_arcs() == ()
+def test_projection_fully_observed(chain):
+    assert chain.projection() == chain
 
 
-def test_confounding_arcs_two_latents():
+def test_projection_two_latents():
     g = CausalGraph([("U1", True), ("U2", True), "X", "Y"],
                     [("U1", "X"), ("U1", "U2"), ("U2", "Y")])
-    assert [p.render() for p in g.confounding_arcs()] == \
-        ["X <- U1 -> U2 -> Y"]
+    assert g.projection() == CausalGraph(["X", "Y"], bidirected=[("X", "Y")])
+
+
+def _random_latent_dag(seed):
+    rng = random.Random(seed)
+    return rng, random_dag(rng, n=rng.randint(3, 8), p=rng.uniform(0.2, 0.6),
+                           latent=rng.uniform(0.1, 0.5))
+
+
+def _pairs_by_enumeration(g):
+    # endpoint pairs of the collider-free paths between observed nodes
+    # whose interior is latent: a directed pair when the path is directed,
+    # a bidirected pair when it has a fork
+    directed, bidirected = set(), set()
+    obs = g.observed_names
+    for i, a in enumerate(obs):
+        for b in obs[i + 1:]:
+            for p in g.paths_between(a, b):
+                if any(p.nodes[k] in g.observed_names
+                       or p.junction(k) == "collider"
+                       for k in range(1, len(p.nodes) - 1)):
+                    continue
+                if all(p.forward):
+                    directed.add((a, b))
+                elif not any(p.forward):
+                    directed.add((b, a))
+                else:
+                    bidirected.add((a, b))
+    return directed, bidirected
+
+
+@given(st.integers(0, 5000))
+def test_projection_pairs_match_path_enumeration(seed):
+    _, g = _random_latent_dag(seed)
+    P = g.projection()
+    assert P.observed_names == g.observed_names
+    arcs = set()
+    for u in P.latent_names:
+        assert not P.parents(u) and len(P.children(u)) == 2
+        arcs.add(P.ordered(P.children(u)))
+    assert len(arcs) == len(P.latent_names)
+    directed = {e for e in P.edges if e[0] not in P.latent_names}
+    assert (directed, arcs) == _pairs_by_enumeration(g)
+
+
+@given(st.integers(0, 5000))
+def test_projection_keeps_observed_separation(seed):
+    rng, g = _random_latent_dag(seed)
+    if len(g.observed_names) < 2:
+        return
+    x, y, z = disjoint_sets(rng, g.observed_names)
+    assert d_separated(g, x, y, z) == d_separated(g.projection(), x, y, z)
+
+
+@given(st.integers(0, 5000))
+def test_projection_is_a_fixed_point(seed):
+    P = _random_latent_dag(seed)[1].projection()
+    assert P.projection() == P
 
 
 def test_bidirected_arc_expansion():
@@ -144,6 +205,16 @@ def test_bidirected_arc_expansion():
     # collision with an existing name bumps the suffix
     g2 = CausalGraph(["A", "B", "U_A_B"], bidirected=[("A", "B")])
     assert "U_A_B_2" in g2.latent_names
+    # so does a name in the formula layer's reserved __<digits> form, so
+    # every graph with a latent confounder of A and _1 has a projection
+    g3 = CausalGraph(["A", "_1"], bidirected=[("A", "_1")])
+    assert g3.latent_names == {"U_A__1_2"}
+    assert CausalGraph([("U", True), "A", "_1"], [("U", "A"), ("U", "_1")]
+                       ).projection() == g3
+    # a taken name ending in _ bumps to one _ before the digits
+    g4 = CausalGraph([("U", True), "A", "B_", "U_A_B_"],
+                     [("U", "A"), ("U", "B_")]).projection()
+    assert g4.latent_names == {"U_A_B_2"}
 
 
 def test_path_junctions(blocked_fork_graph):

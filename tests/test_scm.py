@@ -436,6 +436,21 @@ def test_mechanism_validation():
              "B": {(0,): (F(1), F(0)), (1,): (F(1), F(0))}})
 
 
+@pytest.mark.parametrize("keys, message", [
+    ((0, 2), r"mechanism for 'B' has no row for parent assignment \(1,\)$"),
+    ((0, 1, 2), r"mechanism for 'B' has a row for \(2,\), which is no "
+                r"assignment of its parents \('A',\)$"),
+], ids=["missing", "surplus"])
+def test_rows_must_be_keyed_by_the_parent_assignments(keys, message):
+    # refused when the model is built, not when its joint is first asked for
+    g = CausalGraph(["A", "B"], [("A", "B")])
+    with pytest.raises(ModelError, match=message):
+        DiscreteModel.from_tables(
+            g, {"A": (0, 1), "B": (0, 1)},
+            {"A": {(): (F(1, 2), F(1, 2))},
+             "B": {k: (F(1, 2), F(1, 2)) for k in keys}})
+
+
 def test_from_tables_refuses_a_float_row():
     g = CausalGraph(["A"])
     with pytest.raises(ModelError, match="does not sum to exactly 1"):

@@ -22,8 +22,8 @@ from .catalog import catalog as corpus_entries
 from .catalog import run_entry, unavailable
 from .dsep import connecting_path, observationally_equivalent, pattern
 from .dsl import ParseError, parse_graph, parse_model
-from .expr import (ExprError, base_name, evaluate, free_variables,
-                   name_to_text, parse, render)
+from .expr import (ExprError, base_name, evaluate, free_variables, parse,
+                   render)
 from .graph import GraphError, ScaleError
 from .identify import (DEFAULT_BUDGET, IDENTIFIED, KNOWN_NON_IDENTIFIABLE,
                        NOT_WITHIN_BUDGET, EngineInvariantError, Query,
@@ -205,8 +205,7 @@ def cmd_eval(args) -> int:
                 if surgery is None:
                     surgery = m.do_marginal(do_assign, targets)
                 value = surgery.p(outcome)
-            row = {"binding": {name_to_text(n): v
-                               for n, v in binding.items()},
+            row = {"binding": binding,
                    "exact": str(value),
                    "approx": float(value)}
             if args.check:

@@ -4,15 +4,18 @@ Identification results are stated in a small language of probability
 terms with observation and intervention slots, sums over bound
 variables, products and quotients:
 
-    p(A,B|C,do(D))     conditional term, do() marks interventions
+    p(A,B|C,do(D))     conditional term, do() marks interventions (do
+                       without a "(" after it is a variable's name)
     sum_z <factors>    sum over all domain values of z (also sum_{a,b})
     juxtaposition      product
     /                  quotient; parentheses group
 
 Expressions carry variable names only; domains and values come from a
-model at evaluation time.  Primed variables such as x' are ordinary
-bound variables stored with a numeric suffix (x__1) and rendered
-primed, so graph variable names may not end in ``__<digits>``.
+model at evaluation time.  A primed variable such as x' is an ordinary
+bound variable stored as written; it stands for the graph variable
+named by its base, the name without its primes.  Graph names contain
+no ``'``, so a primed name never clashes with one, and as ``'`` sorts
+before every name character, sorted names run by base, then by primes.
 
 The shape of the tree (a sum's body, a product's factors, a quotient's
 numerator and denominator) is stated once, in ``_parts`` and
@@ -34,51 +37,30 @@ from .dsep import d_separated
 from .graph import CausalGraph, _Record
 from .scm import DiscreteModel, PositivityError
 
-_SUFFIX_RE = re.compile(r"^(.*?)__([0-9]+)$")
-_NAME_TEXT_RE = re.compile(r"^([A-Za-z0-9_]+)('*)$")
+_NAME_TEXT_RE = re.compile(r"^[A-Za-z0-9_]+'*$")
 
 
 class ExprError(Exception):
     """Malformed expression or parse failure."""
 
 
-def split_name(name: str) -> tuple[str, int]:
-    """Split an internal name into (base, prime count)."""
-    m = _SUFFIX_RE.match(name)
-    if m:
-        return m.group(1), int(m.group(2))
-    return name, 0
-
-
 def base_name(name: str) -> str:
-    return split_name(name)[0]
-
-
-def name_to_text(name: str) -> str:
-    b, k = split_name(name)
-    return b + "'" * k
+    """The graph variable ``name`` stands for: the name without primes."""
+    return name.rstrip("'")
 
 
 def name_from_text(tok: str) -> str:
-    m = _NAME_TEXT_RE.match(tok)
-    if not m:
+    if not _NAME_TEXT_RE.match(tok):
         raise ExprError(f"bad variable token {tok!r}")
-    b, primes = m.group(1), len(m.group(2))
-    return b if primes == 0 else f"{b}__{primes}"
+    return tok
 
 
 def fresh_name(base: str, used: Iterable[str]) -> str:
+    """``base`` with the fewest primes that no name in ``used`` has."""
     taken = set(used)
-    if base not in taken:
-        return base
-    k = 1
-    while f"{base}__{k}" in taken:
-        k += 1
-    return f"{base}__{k}"
-
-
-def _sorted_names(names: Iterable[str]) -> tuple[str, ...]:
-    return tuple(sorted(names, key=split_name))
+    while base in taken:
+        base += "'"
+    return base
 
 
 class ProbTerm(_Record):
@@ -89,19 +71,22 @@ class ProbTerm(_Record):
 
     def __init__(self, targets: tuple[str, ...], given: tuple[str, ...] = (),
                  do: tuple[str, ...] = ()):
-        targets = _sorted_names(targets)
-        given = _sorted_names(given)
-        do = _sorted_names(do)
+        targets = tuple(sorted(targets))
+        given = tuple(sorted(given))
+        do = tuple(sorted(do))
         if not targets:
             raise ExprError("a probability term needs at least one target")
         allnames = targets + given + do
         if len(set(allnames)) != len(allnames):
-            raise ExprError(f"repeated variable in term {allnames}")
+            repeated = sorted({n for n in allnames if allnames.count(n) > 1})
+            raise ExprError(
+                f"repeated variable {', '.join(repeated)} in term")
         bases = [base_name(n) for n in allnames]
         if len(set(bases)) != len(bases):
-            raise ExprError(
-                f"term mentions one variable twice (primes included): "
-                f"{allnames}")
+            base = min(b for b in bases if bases.count(b) > 1)
+            names = sorted(n for n in allnames if base_name(n) == base)
+            raise ExprError(f"term mentions {base} twice (primes included): "
+                            + ", ".join(names))
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "given", given)
         object.__setattr__(self, "do", do)
@@ -215,10 +200,10 @@ def validate(e: Expr, _scope: frozenset[str] = frozenset()) -> None:
     if isinstance(e, ProbTerm):
         return
     if isinstance(e, Sum):
-        clash = _sorted_names(set(e.bound) & _scope)
+        clash = sorted(set(e.bound) & _scope)
         if clash:
             raise ExprError("bound variable rebinds name in scope: "
-                            + ", ".join(map(name_to_text, clash)))
+                            + ", ".join(clash))
         _scope = _scope | frozenset(e.bound)
     for part in _parts(e):
         validate(part, _scope)
@@ -227,13 +212,12 @@ def validate(e: Expr, _scope: frozenset[str] = frozenset()) -> None:
 # -- rendering ---------------------------------------------------------
 
 def _render_term(t: ProbTerm, latex: bool) -> str:
-    name = name_to_text
-    tgt = ",".join(name(n) for n in t.targets)
+    tgt = ",".join(t.targets)
     parts = []
     if t.do:
-        inner = ",".join(name(n) for n in t.do)
+        inner = ",".join(t.do)
         parts.append((r"\mathrm{do}(" if latex else "do(") + inner + ")")
-    parts.extend(name(n) for n in t.given)
+    parts.extend(t.given)
     if parts:
         return f"p({tgt}|{','.join(parts)})"
     return f"p({tgt})"
@@ -256,13 +240,11 @@ def _render(x: Expr, latex: bool) -> str:
         return _render_term(x, latex)
     if isinstance(x, Sum):
         if latex:
-            head = r"\sum_{" + ",".join(name_to_text(b)
-                                        for b in x.bound) + "} "
+            head = r"\sum_{" + ",".join(x.bound) + "} "
         elif len(x.bound) == 1:
-            head = f"sum_{name_to_text(x.bound[0])} "
+            head = f"sum_{x.bound[0]} "
         else:
-            head = "sum_{" + ",".join(name_to_text(b)
-                                      for b in x.bound) + "} "
+            head = "sum_{" + ",".join(x.bound) + "} "
         body = _render(x.body, latex)
         if isinstance(x.body, Quotient):
             body = _wrap(body, latex)
@@ -393,7 +375,7 @@ class _Parser:
             self.next()
             while True:
                 t = self.next()
-                if t == "do":
+                if t == "do" and self.peek() == "(":  # else a variable
                     self.expect("(")
                     do.append(name_from_text(self.next()))
                     while self.peek() == ",":
@@ -453,8 +435,8 @@ def canonicalize(e: Expr) -> Expr:
     e = _canonical(e)
     counters = {}
     for n in free_variables(e):
-        b, k = split_name(n)
-        counters[b] = max(counters.get(b, 0), k)
+        b = base_name(n)
+        counters[b] = max(counters.get(b, 0), len(n) - len(b))
     return _rename(e, {}, counters)
 
 
@@ -481,8 +463,8 @@ def _canonical(x: Expr) -> Expr:
 
 
 def _rename(x: Expr, env: Mapping[str, str], counters: dict) -> Expr:
-    """Alpha-rename bound variables to ``base__k``, numbering each base
-    on from ``counters`` in order of appearance."""
+    """Alpha-rename bound variables to their base with k primes,
+    numbering each base on from ``counters`` in order of appearance."""
     if isinstance(x, ProbTerm):
         return ProbTerm(tuple(env.get(n, n) for n in x.targets),
                         tuple(env.get(n, n) for n in x.given),
@@ -492,10 +474,10 @@ def _rename(x: Expr, env: Mapping[str, str], counters: dict) -> Expr:
         for b in x.bound:
             base = base_name(b)
             counters[base] = counters.get(base, 0) + 1
-            env[b] = f"{base}__{counters[base]}"
+            env[b] = base + "'" * counters[base]
     parts = [_rename(part, env, counters) for part in _parts(x)]
     if isinstance(x, Sum):
-        return Sum(_sorted_names(env[b] for b in x.bound), parts[0])
+        return Sum(tuple(sorted(env[b] for b in x.bound)), parts[0])
     return _rebuilt(x, parts)
 
 
@@ -524,7 +506,7 @@ def evaluate(e: Expr, model: DiscreteModel,
     validate(e)
     missing = free_variables(e) - set(binding)
     if missing:
-        raise ExprError(f"unbound variables: {sorted(missing)}")
+        raise ExprError(f"unbound variables: {', '.join(sorted(missing))}")
     return _value(e, model, dict(binding), {})
 
 

@@ -22,7 +22,6 @@ from operator import attrgetter
 from typing import Iterable, Iterator
 
 NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
-_RESERVED_RE = re.compile(r"__[0-9]+$")  # the formula layer's primed form
 
 # Node-count ceiling for exhaustive path enumeration; the enumerator is
 # meant for oracles and tests, production queries use reachability.
@@ -34,12 +33,10 @@ class GraphError(Exception):
 
 
 def check_name(name: str) -> None:
-    """Raise GraphError unless ``name`` may name a variable."""
+    """Raise GraphError unless ``name`` may name a variable: one or more
+    of ``A-Z``, ``a-z``, ``0-9`` and ``_``, with no name reserved."""
     if not NAME_RE.match(name):
         raise GraphError(f"invalid variable name {name!r}")
-    if _RESERVED_RE.search(name):
-        raise GraphError(f"variable name {name!r} ends in a reserved "
-                         "__<digits> suffix")
 
 
 class ScaleError(Exception):
@@ -132,9 +129,9 @@ class CausalGraph:
         es = [tuple(e) for e in edges]
         taken = {v.name for v in vs}
         for a, b in bidirected:
-            u = f"U_{a}_{b}"  # then U_a_b_2, ...: never the reserved form
+            u = f"U_{a}_{b}"  # then U_a_b_2, U_a_b_3, ...
             fresh = map((u.rstrip("_") + "_{}").format, count(2))
-            while u in taken or _RESERVED_RE.search(u):
+            while u in taken:
                 u = next(fresh)
             taken.add(u)
             vs.append(Variable(u, latent=True))

@@ -340,6 +340,29 @@ def test_eval_primed_variable_is_its_own_axis(files, capsys, do, xs):
             ("1", "0", "1/5 = 0.2"), ("1", "1", "4/5 = 0.8")]]
 
 
+def test_double_underscore_name_end_to_end(tmp_path, capsys):
+    # a name ending in __<digits> is an ordinary name, and so is its
+    # primed copy in a formula
+    graph = "var A\nvar B__1\nedge A -> B__1\n"
+    (tmp_path / "ab.graph").write_text(graph)
+    (tmp_path / "ab.model").write_text(
+        graph + "domain A 0 1\ndomain B__1 0 1\ncpt A | : 1/3 2/3\n"
+        "cpt B__1 | A=0 : 1/4 3/4\ncpt B__1 | A=1 : 3/5 2/5\n")
+    code, out, err = run(capsys, "identify", str(tmp_path / "ab.graph"),
+                         "--x", "A", "--y", "B__1")
+    assert code == 0 and err == ""
+    assert "formula: p(B__1|A)" in out.splitlines()
+    code, out, err = run(capsys, "eval", str(tmp_path / "ab.model"),
+                         "--formula", "p(B__1|A) / sum_B__1' p(B__1'|A)",
+                         "--do", "A", "--target", "B__1", "--check")
+    assert code == 0 and err == ""
+    assert out.splitlines() == [
+        "A=0 B__1=0: 1/4 = 0.25  check-diff: 0",
+        "A=0 B__1=1: 3/4 = 0.75  check-diff: 0",
+        "A=1 B__1=0: 3/5 = 0.6  check-diff: 0",
+        "A=1 B__1=1: 2/5 = 0.4  check-diff: 0"]
+
+
 @pytest.mark.parametrize("argv, message", [
     (("--do", "X=1", "--target", "Y,Y"), "--target names 'Y' twice"),
     (("--do", "X=1", "--do", "X=0", "--target", "Y"),

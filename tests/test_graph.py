@@ -43,11 +43,6 @@ def test_unknown_edge_endpoint_named():
         CausalGraph(["A"], [("A", "Q")])
 
 
-def test_reserved_name_suffix_rejected():
-    with pytest.raises(GraphError, match="reserved"):
-        CausalGraph(["X__1"])
-
-
 def test_parents_and_closures(chain):
     assert chain.parents("Y") == {"Z"}
     assert chain.descendants({"X"}) == {"Z", "Y"}
@@ -205,10 +200,9 @@ def test_bidirected_arc_expansion():
     # collision with an existing name bumps the suffix
     g2 = CausalGraph(["A", "B", "U_A_B"], bidirected=[("A", "B")])
     assert "U_A_B_2" in g2.latent_names
-    # so does a name in the formula layer's reserved __<digits> form, so
-    # every graph with a latent confounder of A and _1 has a projection
+    # any name free of collisions is kept as built, __ included
     g3 = CausalGraph(["A", "_1"], bidirected=[("A", "_1")])
-    assert g3.latent_names == {"U_A__1_2"}
+    assert g3.latent_names == {"U_A__1"}
     assert CausalGraph([("U", True), "A", "_1"], [("U", "A"), ("U", "_1")]
                        ).projection() == g3
     # a taken name ending in _ bumps to one _ before the digits

@@ -18,9 +18,9 @@ from causalid import (IDENTIFIED, KNOWN_NON_IDENTIFIABLE,
                       backdoor_admissible, backdoor_formula, catalog,
                       d_separated_exhaustive, evaluate, find_backdoor_sets,
                       frontdoor_admissible, frontdoor_formula, get_entry,
-                      identify, random_model, render, rule1_applicable,
-                      rule2_applicable, rule3_applicable, run_entry,
-                      unavailable)
+                      identify, parse, random_model, render,
+                      rule1_applicable, rule2_applicable, rule3_applicable,
+                      run_entry, unavailable)
 from causalid.dsl import parse_graph
 from causalid.expr import GuardFact, ProbTerm, alpha_equal
 from causalid.identify import (EngineInvariantError, _Chain, _Marg,
@@ -373,6 +373,22 @@ def test_identify_frontdoor_full_derivation(frontdoor_graph):
         (("X",), ("Z",), (), ("Z",), ()),
         (("Y",), ("Z",), ("X",), (), ("Z",)),
     ]
+
+
+def test_variable_named_do_round_trips():
+    # "do" is the intervention keyword only where "(" follows it
+    g = parse_graph("var do\nvar X\nvar Y\nedge do -> X\nedge do -> Y\n"
+                    "edge X -> Y\n")
+    res = identify(Query(g, ("X",), ("Y",)))
+    assert render(res.formula) == "sum_do p(Y|X,do) p(do)"
+    back = parse(render(res.formula))
+    assert back == res.formula
+    m = random_model(g, random.Random(5), cards=(2, 3))
+    for xv in m.domains["X"]:
+        oracle = m.do_marginal({"X": xv}, ("Y",))
+        for yv in m.domains["Y"]:
+            assert evaluate(back, m, {"X": xv, "Y": yv}) == \
+                oracle.p({"Y": yv})
 
 
 def test_identify_builds_each_cut_graph_once(monkeypatch):

@@ -29,33 +29,18 @@ _CHECK_SEED = 7
 
 
 class Expectation(_Record):
-    # kind: backdoor | frontdoor | non-identifiable | do-equals-see
-    #       | adjustment-sets
-    __slots__ = ("kind", "adjustment", "assertions")
+    """What an entry's run must show.  ``kind`` is backdoor, frontdoor,
+    non-identifiable, do-equals-see or adjustment-sets; ``assertions``
+    are (adjustment set, admissible) pairs."""
 
-    def __init__(self, kind: str, adjustment: tuple[str, ...] = (),
-                 assertions: tuple[tuple[tuple[str, ...], bool], ...] = ()):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "adjustment", adjustment)
-        object.__setattr__(self, "assertions", assertions)
+    __slots__ = ("kind", "adjustment", "assertions")
+    _defaults = {"adjustment": (), "assertions": ()}
 
 
 class CorpusEntry(_Record):
     __slots__ = ("name", "description", "graph", "treatment", "outcome",
                  "expectation", "reconstructed", "note")
-
-    def __init__(self, name: str, description: str, graph: CausalGraph,
-                 treatment: tuple[str, ...], outcome: tuple[str, ...],
-                 expectation: Expectation, reconstructed: bool = False,
-                 note: str = ""):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "description", description)
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "treatment", treatment)
-        object.__setattr__(self, "outcome", outcome)
-        object.__setattr__(self, "expectation", expectation)
-        object.__setattr__(self, "reconstructed", reconstructed)
-        object.__setattr__(self, "note", note)
+    _defaults = {"reconstructed": False, "note": ""}
 
 
 def _loyalty_graph() -> CausalGraph:

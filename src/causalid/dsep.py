@@ -46,8 +46,7 @@ def path_blocked(g: CausalGraph, path: Path, Z: Iterable[str]) -> bool:
 
 def _validate_sep_query(g: CausalGraph, X, Y, Z):
     xs, ys, zs = frozenset(X), frozenset(Y), frozenset(Z)
-    for n in xs | ys | zs:
-        g.index(n)
+    g.check_known(xs | ys | zs)
     if not xs or not ys:
         raise GraphError("separation query needs nonempty X and Y")
     if xs & ys or xs & zs or ys & zs:
@@ -162,11 +161,6 @@ class Statement(_Record):
     sort by their fields in order."""
 
     __slots__ = ("x", "y", "given")
-
-    def __init__(self, x: str, y: str, given: tuple[str, ...]):
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "given", given)
 
     def __lt__(self, other):
         if other.__class__ is self.__class__:

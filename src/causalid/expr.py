@@ -87,9 +87,7 @@ class ProbTerm(_Record):
             names = sorted(n for n in allnames if base_name(n) == base)
             raise ExprError(f"term mentions {base} twice (primes included): "
                             + ", ".join(names))
-        object.__setattr__(self, "targets", targets)
-        object.__setattr__(self, "given", given)
-        object.__setattr__(self, "do", do)
+        super().__init__(targets, given, do)
 
 
 class Sum(_Record):
@@ -100,8 +98,7 @@ class Sum(_Record):
             raise ExprError("sum needs at least one bound variable")
         if len(set(bound)) != len(bound):
             raise ExprError("repeated bound variable")
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "body", body)
+        super().__init__(bound, body)
 
 
 class Product(_Record):
@@ -110,15 +107,11 @@ class Product(_Record):
     def __init__(self, factors: tuple[Expr, ...]):
         if len(factors) < 2:
             raise ExprError("product needs at least two factors")
-        object.__setattr__(self, "factors", factors)
+        super().__init__(factors)
 
 
 class Quotient(_Record):
     __slots__ = ("num", "den")
-
-    def __init__(self, num: Expr, den: Expr):
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
 
 
 Expr = Union[ProbTerm, Sum, Product, Quotient]
@@ -583,15 +576,6 @@ class GuardFact(_Record):
 
     __slots__ = ("left", "right", "given", "cut_incoming", "cut_outgoing")
 
-    def __init__(self, left: tuple[str, ...], right: tuple[str, ...],
-                 given: tuple[str, ...], cut_incoming: tuple[str, ...],
-                 cut_outgoing: tuple[str, ...]):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "given", given)
-        object.__setattr__(self, "cut_incoming", cut_incoming)
-        object.__setattr__(self, "cut_outgoing", cut_outgoing)
-
     def verify(self, g: CausalGraph) -> bool:
         h = g.mutilate(self.cut_incoming, self.cut_outgoing)
         return d_separated(h, self.left, self.right, self.given)
@@ -614,10 +598,7 @@ class DerivationStep(_Record):
                  after: Expr):
         if rule not in RULE_TAGS:
             raise ExprError(f"unknown rule tag {rule!r}")
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "guard", guard)
-        object.__setattr__(self, "before", before)
-        object.__setattr__(self, "after", after)
+        super().__init__(rule, guard, before, after)
 
     def to_json(self, step: int) -> dict:
         return {

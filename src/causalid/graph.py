@@ -46,9 +46,12 @@ class ScaleError(Exception):
 class _Record:
     """Base of the package's immutable value records.
 
-    A subclass names its fields, in order, in ``__slots__`` and sets
-    them in ``__init__`` with ``object.__setattr__``.  Two records are
-    equal when they have the same type and equal fields, a record
+    A subclass lists its fields, in order, in ``__slots__`` and may map
+    its trailing fields to default values in ``_defaults``; it then
+    takes the arguments a dataclass of those fields would.  A record
+    that validates or normalizes its arguments ends its own
+    ``__init__`` with ``super().__init__`` on the fields.  Two records
+    are equal when they have the same type and equal fields, a record
     hashes as the tuple of its fields, and its repr is
     ``Name(field=value, ...)``; no record can be assigned to after
     construction, and a copy or unpickled record is rebuilt through
@@ -57,6 +60,7 @@ class _Record:
     """
 
     __slots__ = ()
+    _defaults: dict = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -70,6 +74,31 @@ class _Record:
             key = lambda obj: ()
         cls._key = staticmethod(key)
         cls.__match_args__ = fields
+        # each slot's own setter, which __setattr__ cannot intercept
+        cls._setters = tuple(getattr(cls, f).__set__ for f in fields)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._setters):
+            args = self._bind(args, kwargs)
+        for set_field, value in zip(self._setters, args):
+            set_field(self, value)
+
+    @classmethod
+    def _bind(cls, args, kwargs) -> tuple:
+        """Every field's value, in order, from the arguments and defaults."""
+        fields, name = cls.__slots__, cls.__qualname__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() has only {len(fields)} fields")
+        for field in kwargs:
+            if field not in fields:
+                raise TypeError(f"{name}() has no field {field!r}")
+            if fields.index(field) < len(args):
+                raise TypeError(f"{name}() got field {field!r} twice")
+        values = cls._defaults | dict(zip(fields, args)) | kwargs
+        for field in fields:
+            if field not in values:
+                raise TypeError(f"{name}() missing field {field!r}")
+        return tuple(values[f] for f in fields)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -96,10 +125,7 @@ class _Record:
 
 class Variable(_Record):
     __slots__ = ("name", "latent")
-
-    def __init__(self, name: str, latent: bool = False):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "latent", latent)
+    _defaults = {"latent": False}
 
     @property
     def observed(self) -> bool:
@@ -182,6 +208,12 @@ class CausalGraph:
         except KeyError:
             raise GraphError(f"unknown variable {name!r}") from None
 
+    def check_known(self, names: Iterable[str]) -> None:
+        """Raise GraphError naming the least unknown name, by sort order."""
+        unknown = frozenset(names).difference(self._index)
+        if unknown:
+            raise GraphError(f"unknown variable {min(unknown)!r}")
+
     def ordered(self, names: Iterable[str]) -> tuple[str, ...]:
         """Sort names by declaration order (the canonical output order)."""
         return tuple(sorted(names, key=self.index))
@@ -202,8 +234,7 @@ class CausalGraph:
 
     def _closure(self, seed, step) -> frozenset[str]:
         seeds = {seed} if isinstance(seed, str) else set(seed)
-        for n in seeds:
-            self.index(n)
+        self.check_known(seeds)
         out: set[str] = set()
         stack = list(seeds)
         while stack:
@@ -274,8 +305,7 @@ class CausalGraph:
         """
         ci = frozenset(cut_incoming)
         co = frozenset(cut_outgoing)
-        for n in ci | co:
-            self.index(n)
+        self.check_known(ci | co)
         key = (ci, co)
         cut = self._cuts.get(key)
         if cut is None:
@@ -295,11 +325,7 @@ class CausalGraph:
             else:
                 kept.append((t, h))
         g = object.__new__(CausalGraph)
-        g.variables = self.variables
-        g.names = self.names
-        g._index = self._index
-        g.latent_names = self.latent_names
-        g.observed_names = self.observed_names
+        vars(g).update(vars(self))  # a shallow copy, then what the cut changes
         g.edges = tuple(kept)
         g._parents = dict(self._parents)
         for h, ts in dropped_pa.items():
@@ -445,8 +471,7 @@ class Path(_Record):
             raise GraphError("a path may not repeat a node")
         if len(forward) != len(nodes) - 1:
             raise GraphError("malformed path: direction per edge required")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "forward", forward)
+        super().__init__(nodes, forward)
 
     @classmethod
     def from_nodes(cls, g: CausalGraph, nodes: Iterable[str]) -> Path:
@@ -499,6 +524,4 @@ class PartiallyDirectedGraph(_Record):
         dire = {frozenset(e) for e in directed}
         if und & dire:
             raise GraphError("an edge cannot be both directed and undirected")
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "directed", directed)
-        object.__setattr__(self, "undirected", undirected)
+        super().__init__(variables, directed, undirected)

@@ -78,8 +78,7 @@ class Query(_Record):
     def __init__(self, graph: CausalGraph, treatment: tuple[str, ...],
                  outcome: tuple[str, ...]):
         xs, ys = frozenset(treatment), frozenset(outcome)
-        for n in xs | ys:
-            graph.index(n)
+        graph.check_known(xs | ys)
         if not xs or not ys:
             raise GraphError("treatment and outcome must be nonempty")
         if xs & ys:
@@ -88,9 +87,7 @@ class Query(_Record):
         if latent:
             raise GraphError(
                 f"treatment/outcome must be observed: {sorted(latent)}")
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "treatment", graph.ordered(xs))
-        object.__setattr__(self, "outcome", graph.ordered(ys))
+        super().__init__(graph, graph.ordered(xs), graph.ordered(ys))
 
 
 class IdentificationResult(_Record):
@@ -100,10 +97,7 @@ class IdentificationResult(_Record):
                  derivation: tuple[DerivationStep, ...], budget_spent: int):
         if status == IDENTIFIED:
             assert formula is not None and is_do_free(formula)
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "formula", formula)
-        object.__setattr__(self, "derivation", derivation)
-        object.__setattr__(self, "budget_spent", budget_spent)
+        super().__init__(status, formula, derivation, budget_spent)
 
 
 # -- back-door ----------------------------------------------------------
@@ -283,36 +277,23 @@ class _Done(_Record):
 
 class _Rule(_Record):
     """A rule step, kept as its guard question ``(tag, X, Y, Z, W)`` with
-    Y the targets ``after[0]``; the replay states the guard."""
+    Y the targets ``after[0]``; the replay states the guard.  ``after``
+    is the State the step reaches and ``rest`` the plan from there."""
 
     __slots__ = ("tag", "xs", "zs", "ws", "after", "rest")
 
-    def __init__(self, tag: str, xs: frozenset[str], zs: frozenset[str],
-                 ws: frozenset[str], after: State, rest: object):
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "zs", zs)
-        object.__setattr__(self, "ws", ws)
-        object.__setattr__(self, "after", after)
-        object.__setattr__(self, "rest", rest)
-
 
 class _Marg(_Record):
-    __slots__ = ("added", "rest")
+    """Marginalize in the ``added`` names, then follow the plan ``rest``."""
 
-    def __init__(self, added: tuple[str, ...], rest: object):
-        object.__setattr__(self, "added", added)
-        object.__setattr__(self, "rest", rest)
+    __slots__ = ("added", "rest")
 
 
 class _Chain(_Record):
-    __slots__ = ("split", "first", "second")
+    """The chain rule on the ``split`` names: plan ``first`` for the
+    other targets given them, plan ``second`` for the ``split`` names."""
 
-    def __init__(self, split: tuple[str, ...], first: object,
-                 second: object):
-        object.__setattr__(self, "split", split)
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "second", second)
+    __slots__ = ("split", "first", "second")
 
 
 def _plan_cost(p) -> int:

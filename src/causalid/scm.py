@@ -66,12 +66,6 @@ class Mechanism(_Record):
 
     __slots__ = ("child", "parents", "table")
 
-    def __init__(self, child: str, parents: tuple[str, ...],
-                 table: Mapping[tuple, tuple]):
-        object.__setattr__(self, "child", child)
-        object.__setattr__(self, "parents", parents)
-        object.__setattr__(self, "table", table)
-
     def row(self, parent_values: tuple) -> tuple:
         try:
             return self.table[parent_values]
@@ -84,21 +78,12 @@ class Mechanism(_Record):
 class StructuralEquationSpec(_Record):
     """Child = f(parent values, noise), noise with an exact distribution.
 
-    ``noise`` maps each noise value to its probability; ``f`` must be
-    total over parent-domain x noise-domain combinations.
+    ``noise`` maps each noise value to its probability; ``f(parent
+    values, noise value)`` gives the child's value and must be total
+    over parent-domain x noise-domain combinations.
     """
 
     __slots__ = ("child", "parents", "parent_domains", "noise", "f")
-
-    def __init__(self, child: str, parents: tuple[str, ...],
-                 parent_domains: tuple[tuple, ...],
-                 noise: Mapping[Value, Fraction],
-                 f: Callable[[tuple, Value], Value]):
-        object.__setattr__(self, "child", child)
-        object.__setattr__(self, "parents", parents)
-        object.__setattr__(self, "parent_domains", parent_domains)
-        object.__setattr__(self, "noise", noise)
-        object.__setattr__(self, "f", f)
 
 
 def compile_mechanism(spec: StructuralEquationSpec,
@@ -291,11 +276,9 @@ def independent(j: JointDistribution, X: Iterable[str], Y: Iterable[str],
 
 
 class Dataset(_Record):
-    __slots__ = ("variables", "rows")
+    """Rows of values, each a tuple in the order of ``variables``."""
 
-    def __init__(self, variables: tuple[str, ...], rows: tuple[tuple, ...]):
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "rows", rows)
+    __slots__ = ("variables", "rows")
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -491,8 +474,8 @@ class DiscreteModel:
         if not assignments:
             return self
         m = object.__new__(DiscreteModel)
+        vars(m).update(vars(self))  # a shallow copy, then what surgery changes
         m.graph = self.graph.mutilate(cut_incoming=assignments)
-        m.domains = self.domains
         m.mechanisms = dict(self.mechanisms)
         for n, v in assignments.items():
             row = tuple(Fraction(1) if d == v else Fraction(0)

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -6,7 +9,7 @@ from hypothesis import strategies as st
 
 from causalid import CausalGraph, GraphError, Path, ScaleError, d_separated
 
-from conftest import disjoint_sets, random_dag
+from conftest import SRC, disjoint_sets, random_dag
 
 
 def test_topological_order_chain(chain):
@@ -343,6 +346,48 @@ def test_mutilate_rejects_unknown_names_after_caching(data):
             g.mutilate(cut_in | {"Q"}, cut_out)
         with pytest.raises(GraphError, match="'Q'"):
             g.mutilate(cut_in, cut_out | {"Q"})
+
+
+@given(st.data())
+def test_cut_graph_has_every_attribute(data):
+    # a cut graph copies its parent's attributes, then replaces the
+    # ones the cut changes; a built graph has the same set
+    g = data.draw(dags())
+    h = g.mutilate(data.draw(cut_sets(g)), data.draw(cut_sets(g)))
+    assert vars(h).keys() == vars(g).keys() == vars(
+        CausalGraph(g.variables, h.edges)).keys()
+    assert h._cuts == {} and h._cuts is not g._cuts
+
+
+def test_unknown_names_repeat_across_hash_seeds():
+    # every check names the least unknown name, so the message is the
+    # same in every process, whatever its string-hash seed
+    code = """if True:
+        import sys
+        sys.path.insert(0, sys.argv[1])
+        from causalid import CausalGraph, GraphError, Query, d_separated
+        from causalid.dsep import connecting_path, d_separated_exhaustive
+        g = CausalGraph(["X", "Y"], [("X", "Y")])
+        bad = ("Qa", "Rb", "Sc")
+        for check in (lambda: Query(g, bad, ("Y",)),
+                      lambda: d_separated(g, ("X",), ("Y",), bad),
+                      lambda: connecting_path(g, bad, ("Y",)),
+                      lambda: d_separated_exhaustive(g, ("X",), bad),
+                      lambda: g.mutilate(("X",), bad),
+                      lambda: g.ancestors(bad),
+                      lambda: g.descendants(bad),
+                      lambda: g.ancestral(bad + ("X",))):
+            try:
+                check()
+            except GraphError as exc:
+                print(exc)
+        """
+    runs = {subprocess.run([sys.executable, "-c", code, SRC],
+                           capture_output=True, text=True, check=True,
+                           env={**os.environ, "PYTHONHASHSEED": str(seed)}
+                           ).stdout
+            for seed in range(1, 5)}
+    assert runs == {"unknown variable 'Qa'\n" * 8}
 
 
 @given(st.data())

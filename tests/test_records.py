@@ -7,6 +7,7 @@ library's own definition of them.
 """
 
 import copy
+import pickle
 import subprocess
 import sys
 from dataclasses import make_dataclass
@@ -121,6 +122,22 @@ def test_record_is_a_value(cls, args, kwargs, fields):
     else:
         assert hash(rec) == hash(fields) == hash(ref)
     assert copy.copy(rec) == rec and copy.deepcopy(rec) == rec
+    assert pickle.loads(pickle.dumps(rec)) == rec
+
+
+@pytest.mark.parametrize("cls, args, kwargs, fields", CASES, ids=IDS)
+def test_record_refuses_what_a_dataclass_refuses(cls, args, kwargs, fields):
+    # too many positional arguments, an unknown keyword, a field given
+    # both ways and a missing field without a default
+    slots = cls.__slots__
+    bad = [(fields + (None,), {}), (fields, {"extra": None})]
+    if slots:
+        bad += [(fields, {slots[0]: fields[0]}),
+                ((), dict(zip(slots[1:], fields[1:])))]
+    for make in (cls, _reference_class(cls)):
+        for bad_args, bad_kwargs in bad:
+            with pytest.raises(TypeError):
+                make(*bad_args, **bad_kwargs)
 
 
 @pytest.mark.parametrize("cls, args, kwargs, fields", CASES, ids=IDS)

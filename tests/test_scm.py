@@ -257,6 +257,16 @@ def test_intervene_reuses_validated_rows(monkeypatch, confounder_model):
         confounder_model.intervene({"X": 2})
 
 
+def test_intervened_model_has_every_attribute(confounder_model):
+    # a surgered model copies its parent's attributes, then replaces the
+    # graph, the mechanisms and the joint the parent may have cached
+    before = confounder_model.joint()
+    m = confounder_model.intervene({"X": 1})
+    assert vars(m).keys() == vars(confounder_model).keys()
+    assert m.joint() == confounder_model.truncated("X", 1) != before
+    assert confounder_model.joint() is before
+
+
 def test_truncated_handles_zero_rows():
     # the deterministic mechanism has zero-probability rows; the product
     # form must not divide by them

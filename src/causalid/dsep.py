@@ -28,8 +28,7 @@ def path_blocked(g: CausalGraph, path: Path, Z: Iterable[str]) -> bool:
     """
     path.validate(g)
     zs = frozenset(Z)
-    for z in zs:
-        g.index(z)
+    g.check_known(zs)
     if path.nodes[0] in zs or path.nodes[-1] in zs:
         raise GraphError("path endpoints may not be conditioned on")
     for i in range(1, len(path.nodes) - 1):

@@ -14,6 +14,11 @@ Model DSL extends the graph DSL:
 Probabilities are decimal or rational ``a/b`` literals, parsed exactly.
 A JSON mirror of the graph format is accepted wherever a graph file is:
 ``{"vars": [{"name": ..., "latent": bool}], "edges": [[tail, head]]}``.
+
+Graph directives are checked for shape, in line order; the graph is
+then checked by the ``CausalGraph`` constructor (variables, then edges,
+then arcs, then cycles), and its refusal is reported at the line of the
+directive it refused.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable
 
-from .graph import CausalGraph, GraphError, Variable, check_name
+from .graph import CausalGraph, GraphError, Variable
 from .scm import DiscreteModel, Mechanism
 
 
@@ -113,67 +118,33 @@ def parse_graph(text: str) -> CausalGraph:
 def _graph_from_directives(lines: Iterable[tuple[int, list[str]]]
                            ) -> CausalGraph:
     """Build a graph from (lineno, tokens) directive pairs, so errors
-    name the line of the source text the pairs came from.  Each directive
-    is checked at its own line; edge and arc endpoints are checked once
-    every ``var`` is read, since an edge may precede its variables."""
-    variables: list[Variable] = []
-    declared: set[str] = set()
-    links: list[tuple[int, str, str, str]] = []  # (line, kind, a, b)
-    edges: set[tuple[str, str]] = set()
+    name the line of the source text the pairs came from.  Each
+    directive's shape is checked at its own line; the graph itself is
+    checked by the ``CausalGraph`` constructor, and its refusal is
+    reported at the line of the directive it refused."""
+    given: dict[str, list] = {"var": [], "edge": [], "arc": []}
+    line_of: dict[tuple[str, int], int] = {}  # GraphError.at -> line
     for i, toks in lines:
         kind = toks[0]
         if kind == "var":
             if len(toks) < 2 or toks[2:] not in ([], ["latent"]):
                 raise ParseError(i, f"bad var directive {' '.join(toks)!r}")
-            try:
-                check_name(toks[1])
-            except GraphError as exc:
-                raise ParseError(i, str(exc)) from None
-            if toks[1] in declared:
-                raise ParseError(i, f"duplicate variable {toks[1]!r}")
-            declared.add(toks[1])
-            variables.append(Variable(toks[1], latent=len(toks) == 3))
+            given[kind].append(Variable(toks[1], latent=len(toks) == 3))
         elif kind in _ARROWS:
             if len(toks) != 4 or toks[2] != _ARROWS[kind]:
                 raise ParseError(i, f"bad {kind} directive "
                                  f"{' '.join(toks)!r}")
-            a, b = toks[1], toks[3]
-            if a == b:
-                raise ParseError(i, f"self-loop on {a!r}")
-            if kind == "edge":
-                if (a, b) in edges:
-                    raise ParseError(i, "duplicate edge")
-                edges.add((a, b))
-            links.append((i, kind, a, b))
+            given[kind].append((toks[1], toks[3]))
         elif kind in ("domain", "cpt"):
             raise ParseError(i, f"{kind!r} belongs to the model format; "
                              "this parser reads plain graphs")
         else:
             raise ParseError(i, f"unknown directive {kind!r}")
-    for i, kind, a, b in links:
-        for n in (a, b):
-            if n not in declared:
-                raise ParseError(i, f"unknown variable {n!r} in {kind} "
-                                 f"{a}{_ARROWS[kind]}{b}")
+        line_of[kind, len(given[kind]) - 1] = i
     try:
-        return CausalGraph(
-            variables, [(a, b) for _, kind, a, b in links if kind == "edge"],
-            bidirected=[(a, b) for _, kind, a, b in links if kind == "arc"])
+        return CausalGraph(given["var"], given["edge"], given["arc"])
     except GraphError as exc:
-        # a directed cycle, named at the first edge whose head already
-        # reaches its tail through the edges before it (an arc only adds
-        # a fresh latent parent, so it closes no cycle)
-        reach: dict[str, set[str]] = {}  # each node and all it reaches
-        for i, kind, a, b in links:
-            if kind == "edge":
-                below = reach.setdefault(b, {b})
-                if a in below:
-                    break
-                reach.setdefault(a, {a})
-                for r in reach.values():
-                    if a in r:
-                        r |= below
-        raise ParseError(i, str(exc)) from None
+        raise ParseError(line_of[exc.at], str(exc)) from None
 
 
 def _parse_pa_assignment(toks: list[str], line: int) -> dict[str, str]:

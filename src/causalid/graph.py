@@ -6,6 +6,10 @@ confounders are ordinary latent nodes; a declared bidirected arc
 one graph type serves every criterion, and the latent projection
 (``CausalGraph.projection``) returns that same type.
 
+The constructor alone decides whether a graph is valid, and names the
+argument it refused (``GraphError.at``).  Built, cut and ancestral
+graphs all get their tables from ``CausalGraph._build``.
+
 Graphs are immutable after construction and all operations are pure, so
 values can be shared freely across threads.  Each graph memoizes the cut
 graphs ``mutilate`` returns, keyed by the cut sets.  That stays safe to
@@ -21,6 +25,7 @@ from itertools import combinations, count
 from operator import attrgetter
 from typing import Iterable, Iterator
 
+# a variable name: one or more of A-Z, a-z, 0-9 and _, none reserved
 NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
 
 # Node-count ceiling for exhaustive path enumeration; the enumerator is
@@ -29,14 +34,16 @@ PATH_ENUM_GUARD = 16
 
 
 class GraphError(Exception):
-    """Invalid graph construction, or a query naming an unknown variable."""
+    """Invalid graph construction, or a query naming an unknown variable.
 
+    ``at`` is ``(kind, i)`` when the ``CausalGraph`` constructor refused
+    its i-th ``"var"``, ``"edge"`` or ``"arc"`` argument, counted from 0
+    in the order given, and None otherwise.
+    """
 
-def check_name(name: str) -> None:
-    """Raise GraphError unless ``name`` may name a variable: one or more
-    of ``A-Z``, ``a-z``, ``0-9`` and ``_``, with no name reserved."""
-    if not NAME_RE.match(name):
-        raise GraphError(f"invalid variable name {name!r}")
+    def __init__(self, message: str, at: tuple[str, int] | None = None):
+        super().__init__(message)
+        self.at = at
 
 
 class ScaleError(Exception):
@@ -151,44 +158,60 @@ class CausalGraph:
 
     def __init__(self, variables: Iterable, edges: Iterable = (),
                  bidirected: Iterable = ()):
+        # check every argument, in the order given, before arcs expand
         vs = [_as_variable(v) for v in variables]
         es = [tuple(e) for e in edges]
-        taken = {v.name for v in vs}
-        for a, b in bidirected:
+        arcs = [tuple(e) for e in bidirected]
+        position: dict[str, int] = {}
+        for i, v in enumerate(vs):
+            if not NAME_RE.match(v.name):
+                raise GraphError(f"invalid variable name {v.name!r}",
+                                 ("var", i))
+            if v.name in position:
+                raise GraphError(f"duplicate variable {v.name!r}", ("var", i))
+            position[v.name] = i
+        seen: set[tuple[str, str]] = set()
+        for kind, arrow, pairs in (("edge", "->", es), ("arc", "<->", arcs)):
+            for i, (a, b) in enumerate(pairs):
+                for n in (a, b):
+                    if n not in position:
+                        raise GraphError(f"unknown variable {n!r} in {kind} "
+                                         f"{a}{arrow}{b}", (kind, i))
+                if a == b:
+                    raise GraphError(f"self-loop on {a!r}", (kind, i))
+                if kind == "edge" and (a, b) in seen:
+                    raise GraphError("duplicate edge", (kind, i))
+                seen.add((a, b))
+        spokes = []
+        for a, b in arcs:
             u = f"U_{a}_{b}"  # then U_a_b_2, U_a_b_3, ...
             fresh = map((u.rstrip("_") + "_{}").format, count(2))
-            while u in taken:
+            while u in position:
                 u = next(fresh)
-            taken.add(u)
+            position[u] = len(vs)
             vs.append(Variable(u, latent=True))
-            es += [(u, a), (u, b)]
+            spokes += [(u, a), (u, b)]
+        self._build(vs, sorted(es + spokes, key=lambda e: (position[e[0]],
+                                                            position[e[1]])))
+        self._topo = self._topological_names()  # the cycle check
+        if len(self._topo) < len(self.names):
+            # an arc only adds a fresh latent parent, so it closes no cycle
+            raise GraphError("graph contains a directed cycle",
+                             ("edge", _closing_edge(es)))
 
-        seen: set[str] = set()
-        for v in vs:
-            check_name(v.name)
-            if v.name in seen:
-                raise GraphError(f"duplicate variable {v.name!r}")
-            seen.add(v.name)
-        self.variables: tuple[Variable, ...] = tuple(vs)
-        self.names: tuple[str, ...] = tuple(v.name for v in vs)
+    def _build(self, variables: Iterable[Variable],
+               edges: Iterable[tuple[str, str]]) -> CausalGraph:
+        """Set every table from variables and edges already known to form
+        a DAG, the edges in declaration order, and return the graph.  The
+        topological order is left to its first use; the cut memo is empty."""
+        self.variables: tuple[Variable, ...] = tuple(variables)
+        self.names: tuple[str, ...] = tuple(v.name for v in self.variables)
         self._index: dict[str, int] = {n: i for i, n in enumerate(self.names)}
         self.latent_names: frozenset[str] = frozenset(
-            v.name for v in vs if v.latent)
+            v.name for v in self.variables if v.latent)
         self.observed_names: tuple[str, ...] = tuple(
-            v.name for v in vs if not v.latent)
-
-        for t, h in es:
-            if t not in self._index:
-                raise GraphError(f"unknown variable {t!r} in edge {t}->{h}")
-            if h not in self._index:
-                raise GraphError(f"unknown variable {h!r} in edge {t}->{h}")
-            if t == h:
-                raise GraphError(f"self-loop on {t!r}")
-        if len(set(es)) != len(es):
-            raise GraphError("duplicate edge")
-        self.edges: tuple[tuple[str, str], ...] = tuple(
-            sorted(es, key=lambda e: (self._index[e[0]], self._index[e[1]])))
-
+            v.name for v in self.variables if not v.latent)
+        self.edges: tuple[tuple[str, str], ...] = tuple(edges)
         pa: dict[str, set[str]] = {n: set() for n in self.names}
         ch: dict[str, set[str]] = {n: set() for n in self.names}
         for t, h in self.edges:
@@ -196,9 +219,10 @@ class CausalGraph:
             ch[t].add(h)
         self._parents = {n: frozenset(s) for n, s in pa.items()}
         self._children = {n: frozenset(s) for n, s in ch.items()}
-        self._topo: tuple[str, ...] | None = self._topological_names()
+        self._topo: tuple[str, ...] | None = None
         self._cuts: dict[tuple[frozenset[str], frozenset[str]],
                          CausalGraph] = {}
+        return self
 
     # -- basic queries ------------------------------------------------
 
@@ -254,15 +278,16 @@ class CausalGraph:
         return self._closure(seed, lambda v: self._children[v])
 
     def _topological_names(self) -> tuple[str, ...]:
+        """The topological order, ties broken by declaration order; on a
+        cycle, only the nodes placed before it."""
         indeg = {n: len(self._parents[n]) for n in self.names}
         order: list[str] = []
         placed: set[str] = set()
         while len(order) < len(self.names):
-            # declaration order breaks ties, giving a stable result
             ready = [n for n in self.names
                      if n not in placed and indeg[n] == 0]
             if not ready:
-                raise GraphError("graph contains a directed cycle")
+                break
             v = ready[0]
             placed.add(v)
             order.append(v)
@@ -313,29 +338,11 @@ class CausalGraph:
         return cut
 
     def _cut(self, ci: frozenset[str], co: frozenset[str]) -> CausalGraph:
-        """Build the cut graph without revalidating: a subgraph of a
-        valid DAG over the same variables is itself a valid DAG.  Node
-        tables are shared, edges keep their order, and only the
-        adjacency entries the cut touches are replaced."""
-        kept, dropped_pa, dropped_ch = [], {}, {}
-        for t, h in self.edges:
-            if h in ci or t in co:
-                dropped_pa.setdefault(h, set()).add(t)
-                dropped_ch.setdefault(t, set()).add(h)
-            else:
-                kept.append((t, h))
-        g = object.__new__(CausalGraph)
-        vars(g).update(vars(self))  # a shallow copy, then what the cut changes
-        g.edges = tuple(kept)
-        g._parents = dict(self._parents)
-        for h, ts in dropped_pa.items():
-            g._parents[h] = g._parents[h] - ts
-        g._children = dict(self._children)
-        for t, hs in dropped_ch.items():
-            g._children[t] = g._children[t] - hs
-        g._topo = None  # computed on first use; cutting leaves it acyclic
-        g._cuts = {}
-        return g
+        """The cut graph, built without revalidating: a subgraph of a
+        valid DAG over the same variables is itself a valid DAG."""
+        return object.__new__(CausalGraph)._build(
+            self.variables,
+            [(t, h) for t, h in self.edges if h not in ci and t not in co])
 
     def ancestral(self, names: Iterable[str]) -> CausalGraph:
         """The subgraph induced on ``names`` and their ancestors, latents
@@ -344,24 +351,15 @@ class CausalGraph:
 
         An ancestral set keeps every parent of its members, so the
         induced subgraph of a valid DAG is a valid DAG and is built
-        without revalidating, as a cut graph is."""
+        without revalidating."""
         seeds = frozenset(names)
         keep = seeds | self.ancestors(seeds)
         if len(keep) == len(self.names):
             return self
-        g = object.__new__(CausalGraph)
-        g.variables = tuple(v for v in self.variables if v.name in keep)
-        g.names = tuple(v.name for v in g.variables)
-        g._index = {n: i for i, n in enumerate(g.names)}
-        g.latent_names = self.latent_names & keep
-        g.observed_names = tuple(n for n in self.observed_names if n in keep)
         # the tail of an edge into a kept node is kept
-        g.edges = tuple(e for e in self.edges if e[1] in keep)
-        g._parents = {n: self._parents[n] for n in g.names}
-        g._children = {n: self._children[n] & keep for n in g.names}
-        g._topo = None
-        g._cuts = {}
-        return g
+        return object.__new__(CausalGraph)._build(
+            [v for v in self.variables if v.name in keep],
+            [e for e in self.edges if e[1] in keep])
 
     def projection(self) -> CausalGraph:
         """The latent projection onto the observed nodes, in declaration
@@ -399,6 +397,7 @@ class CausalGraph:
         """Z-nodes that are not ancestors of any W-node once edges into X
         are cut."""
         xs, zs, ws = frozenset(X), frozenset(Z), frozenset(W)
+        self.check_known(xs | zs | ws)
         if xs & zs or xs & ws or zs & ws:
             raise GraphError("X, Z, W must be pairwise disjoint")
         g = self.mutilate(cut_incoming=xs)
@@ -436,6 +435,21 @@ class CausalGraph:
     def __repr__(self) -> str:
         es = ", ".join(f"{t}->{h}" for t, h in self.edges)
         return f"CausalGraph({'.'.join(self.names)}; {es})"
+
+
+def _closing_edge(edges: list[tuple[str, str]]) -> int | None:
+    """Position of the first edge whose head already reaches its tail
+    through the edges before it: the edge that closes a cycle."""
+    reach: dict[str, set[str]] = {}  # each node and all it reaches
+    for i, (a, b) in enumerate(edges):
+        below = reach.setdefault(b, {b})
+        if a in below:
+            return i
+        reach.setdefault(a, {a})
+        for r in reach.values():
+            if a in r:
+                r |= below
+    return None
 
 
 def _paths_on(g: CausalGraph, b: str, nodes: tuple, dirs: tuple):

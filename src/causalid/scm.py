@@ -143,6 +143,7 @@ class JointDistribution:
         self.variables = tuple(variables)
         self.domains = tuple(tuple(d) for d in domains)
         self.probs = {k: v for k, v in probs.items() if v}
+        self._index = {n: i for i, n in enumerate(self.variables)}
         if _validate:
             total = sum(self.probs.values())
             if total != 1:
@@ -151,13 +152,13 @@ class JointDistribution:
         self._sums: dict[tuple[int, ...], dict[tuple, object]] = {}
 
     def _positions(self, names: Iterable[str]) -> list[int]:
-        idx = {n: i for i, n in enumerate(self.variables)}
-        out = []
-        for n in names:
-            if n not in idx:
-                raise GraphError(f"unknown variable {n!r} in distribution")
-            out.append(idx[n])
-        return out
+        """Positions of ``names`` in the caller's order; an unknown name
+        raises, naming the least unknown name by sort order."""
+        try:
+            return [self._index[n] for n in names]
+        except KeyError as exc:  # an iterator keeps the names after it
+            unknown = set(names).difference(self._index) | {exc.args[0]}
+        raise GraphError(f"unknown variable {min(unknown)!r} in distribution")
 
     def _kept(self, names: Iterable[str]) -> tuple[int, ...]:
         """Positions of ``names`` in table order; unknown names raise."""

@@ -283,6 +283,28 @@ def test_graph_errors_name_their_own_line(text, where):
     assert str(info.value).startswith(where)
 
 
+@pytest.mark.parametrize("text, where", [
+    # a directive's shape is checked first, at every line
+    ("var A\nedge A -> A\nedge A => B\n", "line 3: bad edge"),
+    # then the variables, whatever their line
+    ("var A\nedge A -> A\nvar B-C\n", "line 3: invalid variable name"),
+    # then the edges, then the arcs
+    ("var A\nvar B\narc A <-> A\nedge A -> Q\n",
+     "line 4: unknown variable 'Q' in edge A->Q"),
+    # each edge's own checks before the next edge's
+    ("var A\nvar B\nedge A -> B\nedge A -> B\nedge B -> Q\n",
+     "line 4: duplicate edge"),
+    # a cycle last
+    ("var A\nvar B\nedge A -> B\nedge B -> A\narc A <-> Q\n",
+     "line 5: unknown variable 'Q' in arc A<->Q"),
+], ids=["shape-first", "variables-next", "edges-before-arcs",
+        "edge-by-edge", "cycle-last"])
+def test_graph_file_with_two_errors_names_the_first_checked(text, where):
+    with pytest.raises(ParseError) as info:
+        parse_graph(text)
+    assert str(info.value).startswith(where)
+
+
 def test_edges_may_precede_their_variables():
     g = parse_graph("edge A -> B\narc A <-> B\nvar A\nvar B\n")
     assert g.has_edge("A", "B") and g.latent_names == {"U_A_B"}

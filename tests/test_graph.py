@@ -46,6 +46,45 @@ def test_unknown_edge_endpoint_named():
         CausalGraph(["A"], [("A", "Q")])
 
 
+@pytest.mark.parametrize("variables, edges, arcs, message, at", [
+    (["A", "B-C"], [], [], "invalid variable name 'B-C'", ("var", 1)),
+    (["A", "B", "A"], [], [], "duplicate variable 'A'", ("var", 2)),
+    (["A", "B"], [("A", "B"), ("Q", "B")], [],
+     "unknown variable 'Q' in edge Q->B", ("edge", 1)),
+    (["A", "B"], [("A", "B"), ("B", "B")], [], "self-loop on 'B'",
+     ("edge", 1)),
+    (["A", "B", "C"], [("A", "B"), ("B", "C"), ("A", "B")], [],
+     "duplicate edge", ("edge", 2)),
+    # an arc is named as written, not by the latent it expands to
+    (["A", "B"], [], [("A", "Q")], "unknown variable 'Q' in arc A<->Q",
+     ("arc", 0)),
+    (["A", "B"], [], [("A", "A")], "self-loop on 'A'", ("arc", 0)),
+    (["A", "B"], [("A", "B")], [("A", "B"), ("Q", "A")],
+     "unknown variable 'Q' in arc Q<->A", ("arc", 1)),
+    (["A", "B", "C"], [("B", "C"), ("A", "B"), ("A", "C"), ("C", "A"),
+                       ("B", "A")], [("A", "B")],
+     "graph contains a directed cycle", ("edge", 3)),
+    # an edge may not name the latent an arc expands to
+    (["A", "B"], [("U_A_B", "A")], [("A", "B")],
+     "unknown variable 'U_A_B' in edge U_A_B->A", ("edge", 0)),
+    # variables, then edges, then arcs, then cycles
+    (["A", "A"], [("A", "Q")], [], "duplicate variable 'A'", ("var", 1)),
+    (["A", "B"], [("B", "A"), ("A", "B"), ("A", "Q")], [("A", "A")],
+     "unknown variable 'Q' in edge A->Q", ("edge", 2)),
+    (["A", "B"], [("B", "A"), ("A", "B")], [("A", "A")],
+     "self-loop on 'A'", ("arc", 0)),
+], ids=["invalid-name", "duplicate-variable", "unknown-edge-endpoint",
+        "edge-self-loop", "duplicate-edge", "unknown-arc-endpoint",
+        "arc-self-loop", "second-arc", "cycle", "edge-to-arc-latent",
+        "variables-first", "edges-before-arcs", "arcs-before-cycles"])
+def test_constructor_refusals_name_their_argument(variables, edges, arcs,
+                                                   message, at):
+    with pytest.raises(GraphError) as info:
+        CausalGraph(variables, edges, arcs)
+    assert str(info.value) == message
+    assert info.value.at == at
+
+
 def test_parents_and_closures(chain):
     assert chain.parents("Y") == {"Z"}
     assert chain.descendants({"X"}) == {"Z", "Y"}
@@ -350,13 +389,18 @@ def test_mutilate_rejects_unknown_names_after_caching(data):
 
 @given(st.data())
 def test_cut_graph_has_every_attribute(data):
-    # a cut graph copies its parent's attributes, then replaces the
-    # ones the cut changes; a built graph has the same set
+    # cut and ancestral graphs have the attributes of a built graph,
+    # equal to those of the same graph built through the constructor
     g = data.draw(dags())
-    h = g.mutilate(data.draw(cut_sets(g)), data.draw(cut_sets(g)))
-    assert vars(h).keys() == vars(g).keys() == vars(
-        CausalGraph(g.variables, h.edges)).keys()
-    assert h._cuts == {} and h._cuts is not g._cuts
+    cut = g.mutilate(data.draw(cut_sets(g)), data.draw(cut_sets(g)))
+    sub = g.ancestral(data.draw(cut_sets(g)))
+    for h in (cut, sub):
+        built = CausalGraph(h.variables, h.edges)
+        assert vars(h).keys() == vars(g).keys() == vars(built).keys()
+        if h is not g:  # an ancestral graph of every node is g itself
+            h.topological_order()  # the order a built graph computes
+            assert vars(h) == vars(built)
+            assert h._cuts is not g._cuts
 
 
 def test_unknown_names_repeat_across_hash_seeds():
@@ -365,8 +409,10 @@ def test_unknown_names_repeat_across_hash_seeds():
     code = """if True:
         import sys
         sys.path.insert(0, sys.argv[1])
-        from causalid import CausalGraph, GraphError, Query, d_separated
-        from causalid.dsep import connecting_path, d_separated_exhaustive
+        from causalid import (CausalGraph, GraphError, Path, Query,
+                              d_separated, parse_model)
+        from causalid.dsep import (connecting_path, d_separated_exhaustive,
+                                   path_blocked)
         g = CausalGraph(["X", "Y"], [("X", "Y")])
         bad = ("Qa", "Rb", "Sc")
         for check in (lambda: Query(g, bad, ("Y",)),
@@ -376,18 +422,33 @@ def test_unknown_names_repeat_across_hash_seeds():
                       lambda: g.mutilate(("X",), bad),
                       lambda: g.ancestors(bad),
                       lambda: g.descendants(bad),
-                      lambda: g.ancestral(bad + ("X",))):
+                      lambda: g.ancestral(bad + ("X",)),
+                      lambda: g.z_hat(("X",), bad, ()),
+                      lambda: path_blocked(
+                          g, Path.from_nodes(g, ("X", "Y")), set(bad))):
+            try:
+                check()
+            except GraphError as exc:
+                print(exc)
+        with open(sys.argv[2]) as f:
+            m = parse_model(f.read())
+        j = m.joint()
+        for check in (lambda: j.marginal(set(bad)),
+                      lambda: j.conditional(set(bad), {"X": "1"}),
+                      lambda: m.do_marginal({"X": "1"}, set(bad))):
             try:
                 check()
             except GraphError as exc:
                 print(exc)
         """
-    runs = {subprocess.run([sys.executable, "-c", code, SRC],
+    model = os.path.join(SRC, os.pardir, "demo", "confounder.model")
+    runs = {subprocess.run([sys.executable, "-c", code, SRC, model],
                            capture_output=True, text=True, check=True,
                            env={**os.environ, "PYTHONHASHSEED": str(seed)}
                            ).stdout
             for seed in range(1, 5)}
-    assert runs == {"unknown variable 'Qa'\n" * 8}
+    assert runs == {"unknown variable 'Qa'\n" * 10
+                    + "unknown variable 'Qa' in distribution\n" * 3}
 
 
 @given(st.data())

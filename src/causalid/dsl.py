@@ -18,18 +18,20 @@ A JSON mirror of the graph format is accepted wherever a graph file is:
 Graph directives are checked for shape, in line order; the graph is
 then checked by the ``CausalGraph`` constructor (variables, then edges,
 then arcs, then cycles), and its refusal is reported at the line of the
-directive it refused.
+directive it refused.  A model file's ``domain``, then ``cpt``, lines
+are checked for what text alone can get wrong; the ``DiscreteModel``
+constructor's refusal is reported at its directive's line, or at a
+variable's ``var`` or ``arc`` line for a missing domain, table or row.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import product
 from typing import Iterable
 
 from .graph import CausalGraph, GraphError, Variable
-from .scm import DiscreteModel, Mechanism
+from .scm import DiscreteModel, Mechanism, ModelError
 
 
 class ParseError(Exception):
@@ -150,10 +152,8 @@ def _graph_from_directives(lines: Iterable[tuple[int, list[str]]]
 def _parse_pa_assignment(toks: list[str], line: int) -> dict[str, str]:
     out: dict[str, str] = {}
     for tok in toks:
-        if "=" not in tok:
-            raise ParseError(line, f"bad parent assignment token {tok!r}")
-        name, value = tok.split("=", 1)
-        if not name or not value:
+        name, eq, value = tok.partition("=")
+        if not (name and eq and value):
             raise ParseError(line, f"bad parent assignment token {tok!r}")
         if name in out:
             raise ParseError(line, f"parent {name!r} assigned twice")
@@ -163,98 +163,64 @@ def _parse_pa_assignment(toks: list[str], line: int) -> dict[str, str]:
 
 def parse_model(text: str) -> DiscreteModel:
     """Parse the model DSL: graph directives plus domains and exact
-    conditional tables."""
-    graph_lines: list[tuple[int, list[str]]] = []
-    domain_lines: list[tuple[int, list[str]]] = []
-    cpt_lines: list[tuple[int, list[str]]] = []
+    conditional tables.  Each directive's shape is checked here; the
+    model itself is checked by the ``DiscreteModel`` constructor, and its
+    refusal is reported at the line of the directive it refused."""
+    # the graph's var, edge and arc lines are kept under "var"
+    lines: dict[str, list[tuple[int, list[str]]]] = {
+        "var": [], "domain": [], "cpt": []}
     for i, toks in _scan(text):
-        if toks[0] in ("var", "edge", "arc"):
-            graph_lines.append((i, toks))
-        elif toks[0] == "domain":
-            domain_lines.append((i, toks))
-        elif toks[0] == "cpt":
-            cpt_lines.append((i, toks))
-        else:
+        kind = "var" if toks[0] in _ARROWS else toks[0]
+        if kind not in lines:
             raise ParseError(i, f"unknown directive {toks[0]!r}")
-    g = _graph_from_directives(graph_lines)
+        lines[kind].append((i, toks))
+    g = _graph_from_directives(lines["var"])
     # the graph lists the declared variables in ``var`` order, then one
     # latent per ``arc`` in arc order: each name's line is its directive's
-    line_of = dict(zip(g.names,
-                       [i for i, toks in graph_lines if toks[0] == "var"]
-                       + [i for i, toks in graph_lines if toks[0] == "arc"]))
+    line_of: dict[tuple, int] = {  # ModelError.at -> line
+        ("var", n): i for n, i in zip(g.names, [
+            i for kind in ("var", "arc")
+            for i, toks in lines["var"] if toks[0] == kind])}
 
     domains: dict[str, tuple[str, ...]] = {}
-    for i, toks in domain_lines:
-        if len(toks) < 4:
-            raise ParseError(i, "domain needs a variable and at least "
-                             "two values")
-        name, values = toks[1], tuple(toks[2:])
-        if name not in g.names:
-            raise ParseError(i, f"unknown variable {name!r}")
-        if name in domains:
-            raise ParseError(i, f"duplicate domain for {name!r}")
-        if len(set(values)) != len(values):
-            raise ParseError(i, f"repeated value in domain of {name!r}")
-        domains[name] = values
+    for i, toks in lines["domain"]:
+        if len(toks) < 2:
+            raise ParseError(i, "bad domain directive")
+        if toks[1] in domains:
+            raise ParseError(i, f"duplicate domain for {toks[1]!r}")
+        domains[toks[1]] = tuple(toks[2:])
+        line_of["domain", toks[1]] = i
 
-    missing = [n for n in g.names if n not in domains]
-    if missing:
-        raise ParseError(line_of[missing[0]],
-                         f"no domain declared for {missing[0]!r}")
-
-    rows: dict[str, dict[tuple, tuple]] = {n: {} for n in g.names}
-    parent_order: dict[str, tuple[str, ...]] = {
-        n: g.ordered(g.parents(n)) for n in g.names}
-    for i, toks in cpt_lines:
+    mechanisms: dict[str, Mechanism] = {}
+    for i, toks in lines["cpt"]:
         if len(toks) < 2:
             raise ParseError(i, "bad cpt directive")
         name = toks[1]
         if name not in g.names:
             raise ParseError(i, f"unknown variable {name!r}")
-        rest = toks[2:]
-        if rest and rest[0] == "|":
-            rest = rest[1:]
+        rest = toks[3:] if toks[2:3] == ["|"] else toks[2:]
         if ":" not in rest:
             raise ParseError(i, "cpt needs a ':' before the probabilities")
         sep = rest.index(":")
         pa_assign = _parse_pa_assignment(rest[:sep], i)
         probs = [parse_fraction(t, i) for t in rest[sep + 1:]]
-        expected = parent_order[name]
-        if set(pa_assign) != set(expected):
+        parents = g.ordered(g.parents(name))
+        if set(pa_assign) != set(parents):
             raise ParseError(
                 i, f"cpt for {name!r} must assign exactly its parents "
-                f"{list(expected)}, got {sorted(pa_assign)}")
-        for p, v in pa_assign.items():
-            if v not in domains[p]:
-                raise ParseError(i, f"value {v!r} not in domain of {p!r}")
-        key = tuple(pa_assign[p] for p in expected)
-        if key in rows[name]:
+                f"{list(parents)}, got {sorted(pa_assign)}")
+        key = tuple(pa_assign[p] for p in parents)
+        if name not in mechanisms:
+            mechanisms[name] = Mechanism(name, parents, {})
+        if key in mechanisms[name].table:
             raise ParseError(i, f"duplicate cpt row for {name!r} at "
                              f"{dict(pa_assign)}")
-        if len(probs) != len(domains[name]):
-            raise ParseError(
-                i, f"cpt row for {name!r} has {len(probs)} probabilities, "
-                f"domain has {len(domains[name])} values")
-        if sum(probs) != 1:
-            raise ParseError(i, f"cpt row for {name!r} sums to "
-                             f"{sum(probs)}, not 1")
-        if any(p < 0 for p in probs):
-            raise ParseError(i, f"negative probability in cpt row for "
-                             f"{name!r}")
-        rows[name][key] = tuple(probs)
-
-    mechanisms = {}
-    for n in g.names:
-        # each row was checked to assign every parent a domain value, so
-        # a row can be missing but never surplus
-        lack = set(product(*[domains[p] for p in parent_order[n]]))
-        lack -= rows[n].keys()
-        if lack:
-            raise ParseError(
-                line_of[n], f"cpt for {n!r} misses a row for parent "
-                f"assignment {dict(zip(parent_order[n], min(lack)))!r}")
-        mechanisms[n] = Mechanism(n, parent_order[n], rows[n])
-    return DiscreteModel(g, domains, mechanisms)
+        mechanisms[name].table[key] = probs
+        line_of["row", name, key] = i
+    try:
+        return DiscreteModel(g, domains, mechanisms)
+    except ModelError as exc:
+        raise ParseError(line_of[exc.at], str(exc)) from None
 
 
 def model_to_dsl(m: DiscreteModel) -> str:
@@ -263,8 +229,7 @@ def model_to_dsl(m: DiscreteModel) -> str:
         lines.append(f"domain {n} {' '.join(str(v) for v in m.domains[n])}")
     for n in m.graph.names:
         mech = m.mechanisms[n]
-        for key in product(*[m.domains[p] for p in mech.parents]):
-            row = mech.row(key)
+        for key, row in mech.table.items():  # in parent-assignment order
             pa = " ".join(f"{p}={v}" for p, v in zip(mech.parents, key))
             ps = " ".join(str(x) for x in row)
             lines.append(f"cpt {n} | {pa} : {ps}".replace("|  :", "| :"))

@@ -494,12 +494,14 @@ def evaluate(e: Expr, model: DiscreteModel,
     """Exact value of the expression under a binding of its free
     variables.  Terms with interventions are evaluated through graph
     surgery (the oracle semantics); do-free terms read the plain joint.
-    Each distinct do-assignment's joint is built once per call.
+    Each distinct do-assignment's joint is built once per call.  Names
+    are checked once, first: the least name the graph lacks raises.
     """
     validate(e)
     missing = free_variables(e) - set(binding)
     if missing:
         raise ExprError(f"unbound variables: {', '.join(sorted(missing))}")
+    model.graph.check_known(map(base_name, used_names(e)))
     return _value(e, model, dict(binding), {})
 
 
@@ -512,11 +514,7 @@ def _value(x: Expr, model: DiscreteModel, env: dict, joints: dict):
     if isinstance(x, ProbTerm):
         return _term_value(x, model, env, joints)
     if isinstance(x, Sum):
-        doms = []
-        for b in x.bound:
-            base = base_name(b)
-            model.graph.index(base)
-            doms.append(model.domains[base])
+        doms = [model.domains[base_name(b)] for b in x.bound]
         total = Fraction(0)
         for combo in iproduct(*doms):
             env2 = dict(env)
@@ -536,20 +534,10 @@ def _value(x: Expr, model: DiscreteModel, env: dict, joints: dict):
     return num / den
 
 
-def _assign(model: DiscreteModel, names, env: Mapping[str, object]) -> dict:
-    out = {}
-    for n in names:
-        b = base_name(n)
-        model.graph.index(b)
-        out[b] = env[n]
-    return out
-
-
 def _term_value(t: ProbTerm, model: DiscreteModel, env: Mapping[str, object],
                 joints: dict):
-    t_assign = _assign(model, t.targets, env)
-    o_assign = _assign(model, t.given, env)
-    do_assign = _assign(model, t.do, env)
+    t_assign, o_assign, do_assign = [{base_name(n): env[n] for n in names}
+                                     for names in (t.targets, t.given, t.do)]
     key = frozenset(do_assign.items())
     jd = joints.get(key)
     if jd is None:

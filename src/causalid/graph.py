@@ -200,25 +200,38 @@ class CausalGraph:
                              ("edge", _closing_edge(es)))
 
     def _build(self, variables: Iterable[Variable],
-               edges: Iterable[tuple[str, str]]) -> CausalGraph:
+               edges: Iterable[tuple[str, str]],
+               like: CausalGraph | None = None) -> CausalGraph:
         """Set every table from variables and edges already known to form
         a DAG, the edges in declaration order, and return the graph.  The
-        topological order is left to its first use; the cut memo is empty."""
-        self.variables: tuple[Variable, ...] = tuple(variables)
-        self.names: tuple[str, ...] = tuple(v.name for v in self.variables)
-        self._index: dict[str, int] = {n: i for i, n in enumerate(self.names)}
-        self.latent_names: frozenset[str] = frozenset(
-            v.name for v in self.variables if v.latent)
-        self.observed_names: tuple[str, ...] = tuple(
-            v.name for v in self.variables if not v.latent)
+        topological order is left to its first use; the cut memo is empty.
+        ``like``, a graph over the same variables with more edges, lends
+        its node tables and every parent or child set left unchanged."""
         self.edges: tuple[tuple[str, str], ...] = tuple(edges)
-        pa: dict[str, set[str]] = {n: set() for n in self.names}
-        ch: dict[str, set[str]] = {n: set() for n in self.names}
-        for t, h in self.edges:
-            pa[h].add(t)
-            ch[t].add(h)
-        self._parents = {n: frozenset(s) for n, s in pa.items()}
-        self._children = {n: frozenset(s) for n, s in ch.items()}
+        if like is not None:
+            self.variables, self.names, self._index = (
+                like.variables, like.names, like._index)
+            self.latent_names = like.latent_names
+            self.observed_names = like.observed_names
+            pa, ch = dict(like._parents), dict(like._children)
+            for t, h in set(like.edges).difference(self.edges):
+                pa[h], ch[t] = pa[h] - {t}, ch[t] - {h}
+            self._parents, self._children = pa, ch
+        else:
+            self.variables: tuple[Variable, ...] = tuple(variables)
+            self.names: tuple[str, ...] = tuple(v.name for v in self.variables)
+            self._index = {n: i for i, n in enumerate(self.names)}
+            self.latent_names: frozenset[str] = frozenset(
+                v.name for v in self.variables if v.latent)
+            self.observed_names: tuple[str, ...] = tuple(
+                v.name for v in self.variables if not v.latent)
+            pa: dict[str, set[str]] = {n: set() for n in self.names}
+            ch: dict[str, set[str]] = {n: set() for n in self.names}
+            for t, h in self.edges:
+                pa[h].add(t)
+                ch[t].add(h)
+            self._parents = {n: frozenset(s) for n, s in pa.items()}
+            self._children = {n: frozenset(s) for n, s in ch.items()}
         self._topo: tuple[str, ...] | None = None
         self._cuts: dict[tuple[frozenset[str], frozenset[str]],
                          CausalGraph] = {}
@@ -339,10 +352,13 @@ class CausalGraph:
 
     def _cut(self, ci: frozenset[str], co: frozenset[str]) -> CausalGraph:
         """The cut graph, built without revalidating: a subgraph of a
-        valid DAG over the same variables is itself a valid DAG."""
+        valid DAG over the same variables is itself a valid DAG.  It
+        shares this graph's node tables and every parent and child set
+        the cut leaves unchanged."""
         return object.__new__(CausalGraph)._build(
             self.variables,
-            [(t, h) for t, h in self.edges if h not in ci and t not in co])
+            [(t, h) for t, h in self.edges if h not in ci and t not in co],
+            like=self)
 
     def ancestral(self, names: Iterable[str]) -> CausalGraph:
         """The subgraph induced on ``names`` and their ancestors, latents

@@ -18,6 +18,11 @@ summed tables.
 
 Probabilities are ``fractions.Fraction``, so correctness checks are
 exact equalities: every conditional row must sum to exactly 1.
+
+The ``DiscreteModel`` constructor alone decides whether a model is
+valid, checking names, then domains, then mechanisms, and names the
+input it refused (``ModelError.at``).  Built and intervened models both
+get their attributes from ``DiscreteModel._build``.
 """
 
 from __future__ import annotations
@@ -47,15 +52,30 @@ class PositivityError(Exception):
 
 
 class ModelError(Exception):
-    """Invalid mechanism or model construction."""
+    """Invalid mechanism or model construction.
+
+    ``at`` is what the ``DiscreteModel`` constructor refused: the
+    ``("domain", name)`` or ``("mechanism", name)`` given, one ``("row",
+    name, parent values)``, or ``("var", name)`` for a missing domain,
+    mechanism or row or a mechanism's parents; otherwise None.
+    """
+
+    def __init__(self, message: str, at: tuple | None = None):
+        super().__init__(message)
+        self.at = at
 
 
-def _check_row(probs: Sequence, where: str) -> tuple:
+def _check_row(name: str, pa: tuple, probs: Sequence, size: int) -> tuple:
+    """Row ``pa`` of ``name``'s mechanism as exact fractions, or a refusal."""
+    where, at = f"row {pa!r} for {name!r}", ("row", name, pa)
     row = tuple(Fraction(p) for p in probs)
+    if len(row) != size:
+        raise ModelError(f"{where} has {len(row)} probabilities, domain "
+                         f"has {size} values", at)
     if sum(row) != 1:
-        raise ModelError(f"row does not sum to exactly 1 in {where}")
+        raise ModelError(f"{where} sums to {sum(row)}, not 1", at)
     if any(p < 0 for p in row):
-        raise ModelError(f"negative probability in {where}")
+        raise ModelError(f"negative probability in {where}", at)
     return row
 
 
@@ -337,40 +357,58 @@ class DiscreteModel:
     def __init__(self, graph: CausalGraph,
                  domains: Mapping[str, Sequence],
                  mechanisms: Mapping[str, Mechanism]):
-        self.graph = graph
-        self.domains: dict[str, tuple] = {}
+        # names, then domains, then mechanisms in declaration order: a row
+        # for no parent assignment, then each row (missing, length, sum, sign)
+        known = set(graph.names)
+        for kind, given in (("domain", domains), ("mechanism", mechanisms)):
+            for n in given:
+                if n not in known:
+                    raise ModelError(f"unknown variable {n!r}", (kind, n))
+        doms: dict[str, tuple] = {}
         for n in graph.names:
             if n not in domains:
-                raise ModelError(f"no domain for variable {n!r}")
-            self.domains[n] = tuple(domains[n])
-            if len(self.domains[n]) < 2:
-                raise ModelError(f"domain of {n!r} needs at least 2 values")
-            if len(set(self.domains[n])) != len(self.domains[n]):
-                raise ModelError(f"domain of {n!r} has repeated values")
-        self.mechanisms: dict[str, Mechanism] = {}
+                raise ModelError(f"no domain declared for {n!r}", ("var", n))
+            dom = doms[n] = tuple(domains[n])
+            if len(dom) < 2:
+                raise ModelError(f"domain of {n!r} needs at least 2 values",
+                                 ("domain", n))
+            if len(set(dom)) != len(dom):
+                raise ModelError(f"repeated value in domain of {n!r}",
+                                 ("domain", n))
+        mechs: dict[str, Mechanism] = {}
         for n in graph.names:
             m = mechanisms.get(n)
             if m is None:
-                raise ModelError(f"no mechanism for variable {n!r}")
-            if set(m.parents) != set(graph.parents(n)):
+                raise ModelError(f"no mechanism declared for {n!r}",
+                                 ("var", n))
+            if set(m.parents) != graph.parents(n):
                 raise ModelError(
                     f"mechanism parents {sorted(m.parents)} for {n!r} do not "
-                    f"match graph parents {sorted(graph.parents(n))}")
-            table = {}
-            for pa in product(*(self.domains[p] for p in m.parents)):
-                row = m.row(pa)
-                if len(row) != len(self.domains[n]):
+                    f"match graph parents {sorted(graph.parents(n))}",
+                    ("var", n))
+            table = dict.fromkeys(product(*(doms[p] for p in m.parents)))
+            for pa in m.table:
+                if pa not in table:
                     raise ModelError(
-                        f"row {pa!r} for {n!r} has {len(row)} entries, "
-                        f"domain has {len(self.domains[n])}")
-                table[pa] = _check_row(row, f"mechanism for {n!r}, row {pa!r}")
-            if len(table) != len(m.table):
-                pa = next(k for k in m.table if k not in table)
-                raise ModelError(
-                    f"mechanism for {n!r} has a row for {pa!r}, which is "
-                    f"no assignment of its parents {m.parents!r}")
-            self.mechanisms[n] = Mechanism(n, m.parents, table)
+                        f"mechanism for {n!r} has a row for {pa!r}, which is "
+                        f"no assignment of its parents {m.parents!r}",
+                        ("row", n, pa))
+            for pa in table:
+                if pa not in m.table:
+                    raise ModelError(f"mechanism for {n!r} has no row for "
+                                     f"parent assignment {pa!r}", ("var", n))
+                table[pa] = _check_row(n, pa, m.table[pa], len(doms[n]))
+            mechs[n] = Mechanism(n, m.parents, table)
+        self._build(graph, doms, mechs)
+
+    def _build(self, graph: CausalGraph, domains: dict[str, tuple],
+               mechanisms: dict[str, Mechanism]) -> DiscreteModel:
+        """Set every attribute from parts known to form a valid model."""
+        self.graph = graph
+        self.domains = domains
+        self.mechanisms = mechanisms
         self._joint: JointDistribution | None = None
+        return self
 
     # -- construction helpers -----------------------------------------
 
@@ -380,13 +418,12 @@ class DiscreteModel:
                     tables: Mapping[str, Mapping[tuple, Sequence]]
                     ) -> DiscreteModel:
         """Build from raw row dictionaries keyed by parent values in
-        declaration order; the constructor checks the rows."""
+        declaration order; the constructor checks every name and row."""
         mechs = {}
-        for n in graph.names:
-            ps = graph.ordered(graph.parents(n))
-            rows = {tuple(k) if isinstance(k, tuple) else (k,) if k != ()
-                    else (): tuple(v) for k, v in tables[n].items()}
-            mechs[n] = Mechanism(n, ps, rows)
+        for n, rows in tables.items():
+            mechs[n] = Mechanism(n, graph.ordered(graph._parents.get(n, ())), {
+                k if isinstance(k, tuple) else (k,): v
+                for k, v in rows.items()})
         return cls(graph, domains, mechs)
 
     def cells(self) -> int:
@@ -474,16 +511,12 @@ class DiscreteModel:
                 raise ModelError(f"{v!r} not in domain of {n!r}")
         if not assignments:
             return self
-        m = object.__new__(DiscreteModel)
-        vars(m).update(vars(self))  # a shallow copy, then what surgery changes
-        m.graph = self.graph.mutilate(cut_incoming=assignments)
-        m.mechanisms = dict(self.mechanisms)
+        mechs = dict(self.mechanisms)
         for n, v in assignments.items():
-            row = tuple(Fraction(1) if d == v else Fraction(0)
-                        for d in self.domains[n])
-            m.mechanisms[n] = Mechanism(n, (), {(): row})
-        m._joint = None
-        return m
+            point = tuple(Fraction(d == v) for d in self.domains[n])
+            mechs[n] = Mechanism(n, (), {(): point})
+        return object.__new__(DiscreteModel)._build(
+            self.graph.mutilate(cut_incoming=assignments), self.domains, mechs)
 
     def do_marginal(self, do: Mapping[str, Value],
                     targets: Iterable[str]) -> JointDistribution:
@@ -526,8 +559,10 @@ class DiscreteModel:
 
 def fit(variables: Sequence[str], domains: Mapping[str, Sequence],
         data: Dataset) -> JointDistribution:
-    """Empirical joint: exact frequencies count/n over the given shape; a
-    missing column or a value outside its declared domain raises."""
+    """Empirical joint: exact frequencies count/n over the given shape; no
+    rows, a missing column or a value outside its declared domain raises."""
+    if not data.rows:
+        raise ModelError("dataset has no rows")
     for v in variables:
         if v not in data.variables:
             raise ModelError(f"dataset has no column {v!r}")
@@ -550,11 +585,9 @@ def graft_coin(model: DiscreteModel, treatment: str,
                coin: str = "C") -> DiscreteModel:
     """Randomize a treatment: add a uniform coin node as the treatment's
     only parent and make the treatment copy it, as a trial randomizer
-    would.  The coin's domain mirrors the treatment's."""
+    would.  The coin's domain mirrors the treatment's; the graph refuses
+    an unknown treatment or a coin name already in use."""
     g = model.graph
-    g.index(treatment)
-    if coin in g.names:
-        raise ModelError(f"variable {coin!r} already exists")
     kept = g.mutilate(cut_incoming=(treatment,)).edges
     g2 = CausalGraph(g.variables + (Variable(coin),),
                      kept + ((coin, treatment),))
@@ -564,10 +597,8 @@ def graft_coin(model: DiscreteModel, treatment: str,
     mechs = dict(model.mechanisms)
     uniform = tuple(Fraction(1, len(dom)) for _ in dom)
     mechs[coin] = Mechanism(coin, (), {(): uniform})
-    mechs[treatment] = Mechanism(
-        treatment, (coin,),
-        {(c,): tuple(Fraction(1) if d == c else Fraction(0) for d in dom)
-         for c in dom})
+    mechs[treatment] = Mechanism(treatment, (coin,), {
+        (c,): tuple(Fraction(d == c) for d in dom) for c in dom})
     return DiscreteModel(g2, doms, mechs)
 
 

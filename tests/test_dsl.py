@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from causalid import (ParseError, graph_to_dsl, graph_to_json, model_to_dsl,
-                      parse_graph, parse_model)
+                      parse_graph, parse_model, random_model)
 from causalid.dsl import parse_fraction
 
 from conftest import binary_confounder_model, random_dag
@@ -160,12 +160,26 @@ def test_model_round_trip():
     assert again.joint() == m.joint()
 
 
+@given(st.integers(0, 5000))
+def test_random_model_round_trip(seed):
+    # a model file names each value by its text, so the joint comes back
+    # over the values' strings
+    rng = random.Random(seed)
+    g = random_dag(rng, n=rng.randint(1, 6), p=rng.uniform(0.2, 0.6),
+                   latent=rng.uniform(0.0, 0.4))
+    m = random_model(g, rng, cards=(2, 3))
+    again = parse_model(model_to_dsl(m))
+    assert again.graph == g
+    assert again.joint().probs == {tuple(map(str, cell)): pr for cell, pr
+                                   in m.joint().probs.items()}
+
+
 def test_model_errors():
     with pytest.raises(ParseError, match="sums to"):
         parse_model("var A\ndomain A 0 1\ncpt A | : 1/2 1/3\n")
     with pytest.raises(ParseError, match="no domain"):
         parse_model("var A\nvar B\ndomain A 0 1\ncpt A | : 1/2 1/2\n")
-    with pytest.raises(ParseError, match="misses a row"):
+    with pytest.raises(ParseError, match="has no row"):
         parse_model("var A\nvar B\nedge A -> B\n"
                     "domain A 0 1\ndomain B 0 1\n"
                     "cpt A | : 1/2 1/2\ncpt B | A=0 : 1 0\n")
@@ -196,8 +210,8 @@ cpt B | A=1 : 3/4 1/4
     ("A=0 :", "A=0 A=1 :", "line 7: parent 'A' assigned twice"),
     ("cpt B | A=1", "frob A\ncpt B | A=1", "line 8: unknown directive "
      "'frob'"),
-    ("domain B 0 1", "domain B 0", "line 5: domain needs a variable and at "
-     "least two values"),
+    ("domain B 0 1", "domain B 0", "line 5: domain of 'B' needs at least 2 "
+     "values"),
     ("domain B 0 1", "domain B 0 1\ndomain Q 0 1",
      "line 6: unknown variable 'Q'"),
     ("domain B 0 1", "domain B 0 1\ndomain A 0 1",
@@ -208,8 +222,9 @@ cpt B | A=1 : 3/4 1/4
     ("cpt A | :", "cpt Q | : 1\ncpt A | :", "line 6: unknown variable 'Q'"),
     ("cpt A | :", "cpt A |", "line 6: cpt needs a ':' before the "
      "probabilities"),
-    ("A=1 :", "A=2 :", "line 8: value '2' not in domain of 'A'"),
-    ("cpt A | : 1/2 1/2", "cpt A | : 1", "line 6: cpt row for 'A' has 1 "
+    ("A=1 :", "A=2 :", "line 8: mechanism for 'B' has a row for ('2',), "
+     "which is no assignment of its parents ('A',)"),
+    ("cpt A | : 1/2 1/2", "cpt A | : 1", "line 6: row () for 'A' has 1 "
      "probabilities, domain has 2 values"),
 ], ids=["parent-without-equals", "parent-without-value",
         "parent-assigned-twice", "unknown-directive", "short-domain",
@@ -305,6 +320,40 @@ def test_graph_file_with_two_errors_names_the_first_checked(text, where):
     assert str(info.value).startswith(where)
 
 
+@pytest.mark.parametrize("edits, where", [
+    # a directive's shape is checked first, at every line
+    ([("cpt A | : 1/2 1/2", "cpt A | : 1/2 1/3"), ("A=1 :", "A1 :")],
+     "line 8: bad parent assignment token 'A1'"),
+    # then a domain for an unknown variable, whatever its line
+    ([("domain B 0 1", "domain B 0 0"), ("3/4 1/4", "3/4 1/4\ndomain Q 0 1")],
+     "line 9: unknown variable 'Q'"),
+    # then every domain, in var order, before any row
+    ([("domain B 0 1\n", ""), ("cpt A | : 1/2 1/2", "cpt A | : 1/2 1/3"),
+      ("3/4 1/4", "3/4 1/4\ndomain B 0 0")],
+     "line 8: repeated value in domain of 'B'"),
+    # then the mechanisms in var order, whatever the line order
+    ([("cpt A | : 1/2 1/2\ncpt B | A=0 : 1/3 2/3",
+       "cpt B | A=0 : 1/3 1/3\ncpt A | : 1/2 1/3")],
+     "line 7: row () for 'A' sums to 5/6, not 1"),
+    # a row for no parent assignment before a missing row
+    ([("A=1 :", "A=2 :")], "line 8: mechanism for 'B' has a row for ('2',)"),
+    # then the rows in parent-assignment order
+    ([("cpt B | A=0 : 1/3 2/3\ncpt B | A=1 : 3/4 1/4",
+       "cpt B | A=1 : 3/4 3/4\ncpt B | A=0 : 1/3 1/3")],
+     "line 8: row ('0',) for 'B' sums to 2/3, not 1"),
+], ids=["shape-first", "unknown-domain-next", "domains-before-rows",
+        "mechanisms-in-var-order", "surplus-before-missing",
+        "rows-in-assignment-order"])
+def test_model_file_with_two_errors_names_the_first_checked(edits, where):
+    text = TWO_NODE
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new, 1)
+    with pytest.raises(ParseError) as info:
+        parse_model(text)
+    assert str(info.value).startswith(where)
+
+
 def test_edges_may_precede_their_variables():
     g = parse_graph("edge A -> B\narc A <-> B\nvar A\nvar B\n")
     assert g.has_edge("A", "B") and g.latent_names == {"U_A_B"}
@@ -324,8 +373,7 @@ def test_missing_domain_names_the_variables_line():
     with pytest.raises(ParseError) as info:
         parse_model(text)
     assert str(info.value) == "line 2: no domain declared for 'B'"
-    arc = ("var A\nvar B\ndomain A 0 1\ndomain B 0 1\narc A <-> B\n"
-           "cpt A | : 1/2 1/2\n")
+    arc = "var A\nvar B\ndomain A 0 1\ndomain B 0 1\narc A <-> B\n"
     with pytest.raises(ParseError) as info:
         parse_model(arc)
     assert str(info.value) == "line 5: no domain declared for 'U_A_B'"
@@ -336,8 +384,8 @@ def test_missing_cpt_row_names_the_variables_line():
             "cpt A | : 1/2 1/2\ncpt B | A=0 : 1 0\nvar B\n")
     with pytest.raises(ParseError) as info:
         parse_model(text)
-    assert str(info.value) == ("line 7: cpt for 'B' misses a row for "
-                               "parent assignment {'A': '1'}")
+    assert str(info.value) == ("line 7: mechanism for 'B' has no row for "
+                               "parent assignment ('1',)")
 
 
 def test_model_graph_lines_anywhere():

@@ -9,10 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from causalid import (CausalGraph, DerivationStep, DiscreteModel, ExprError,
-                      GuardFact, P, PositivityError, ProbTerm, Product,
-                      Query, Quotient, Sum, alpha_equal, backdoor_formula,
-                      canonicalize, evaluate, frontdoor_formula, identify,
-                      is_do_free, parse, random_model, render)
+                      GraphError, GuardFact, P, PositivityError, ProbTerm,
+                      Product, Query, Quotient, Sum, alpha_equal,
+                      backdoor_formula, canonicalize, evaluate,
+                      frontdoor_formula, identify, is_do_free, parse,
+                      random_model, render)
 from causalid.expr import (base_name, free_variables, fresh_name,
                            name_from_text, tidy, used_names, validate,
                            walk_terms)
@@ -316,6 +317,19 @@ def test_unbound_variable_rejected():
     with pytest.raises(ExprError) as info:
         evaluate(parse("p(Y|X',Z)"), m, {"Y": 1})
     assert str(info.value) == "unbound variables: X', Z"
+
+
+@pytest.mark.parametrize("formula, binding", [
+    ("sum_{Sc,Qa'} p(Y,Sc,Qa')", {"Y": 1}),
+    ("p(Y|Sc) p(Y|Qa)", {"Y": 1, "Sc": 0, "Qa": 0}),
+], ids=["binders", "terms"])
+def test_unknown_variable_names_the_least(formula, binding):
+    # the whole formula is checked before the walk, so the least unknown
+    # base name is named, not the first one the walk reaches
+    m = binary_confounder_model()
+    with pytest.raises(GraphError) as info:
+        evaluate(parse(formula), m, binding)
+    assert str(info.value) == "unknown variable 'Qa'"
 
 
 def test_is_do_free():

@@ -403,6 +403,23 @@ def test_cut_graph_has_every_attribute(data):
             assert h._cuts is not g._cuts
 
 
+@given(st.data())
+def test_cut_graph_shares_what_the_cut_leaves_unchanged(data):
+    # the node tables are the parent's own, and so is every parent or
+    # child set that no dropped edge touches
+    g = data.draw(dags())
+    cut = g.mutilate(data.draw(cut_sets(g)), data.draw(cut_sets(g)))
+    for name in ("variables", "names", "_index", "latent_names",
+                 "observed_names"):
+        assert getattr(cut, name) is getattr(g, name)
+    dropped = set(g.edges) - set(cut.edges)
+    for n in g.names:
+        if all(h != n for _, h in dropped):
+            assert cut._parents[n] is g._parents[n]
+        if all(t != n for t, _ in dropped):
+            assert cut._children[n] is g._children[n]
+
+
 def test_unknown_names_repeat_across_hash_seeds():
     # every check names the least unknown name, so the message is the
     # same in every process, whatever its string-hash seed

@@ -237,9 +237,9 @@ def test_intervene_reuses_validated_rows(monkeypatch, confounder_model):
     checked = []
     check_row = scm._check_row
 
-    def counting_check(row, where):
-        checked.append(where)
-        return check_row(row, where)
+    def counting_check(name, pa, row, size):
+        checked.append((name, pa))
+        return check_row(name, pa, row, size)
 
     monkeypatch.setattr(scm, "_check_row", counting_check)
     m = confounder_model.intervene({"X": 1, "Z": 0})
@@ -258,11 +258,13 @@ def test_intervene_reuses_validated_rows(monkeypatch, confounder_model):
 
 
 def test_intervened_model_has_every_attribute(confounder_model):
-    # a surgered model copies its parent's attributes, then replaces the
-    # graph, the mechanisms and the joint the parent may have cached
+    # a surgered model has the attributes of a built model, equal to
+    # those of the same model built through the constructor, and not the
+    # joint its parent may have cached
     before = confounder_model.joint()
     m = confounder_model.intervene({"X": 1})
     assert vars(m).keys() == vars(confounder_model).keys()
+    assert vars(m) == vars(DiscreteModel(m.graph, m.domains, m.mechanisms))
     assert m.joint() == confounder_model.truncated("X", 1) != before
     assert confounder_model.joint() is before
 
@@ -386,6 +388,15 @@ def test_fit_names_a_value_outside_the_domain():
         fit(("A",), {"A": ("0", "1")}, d)
 
 
+def test_fit_refuses_a_dataset_without_rows():
+    # a header alone has no frequencies to take, and says so up front
+    d = Dataset.from_csv("A,B\n")
+    assert d.rows == ()
+    with pytest.raises(ModelError) as info:
+        fit(("A", "B"), {"A": ("0", "1"), "B": ("0", "1")}, d)
+    assert str(info.value) == "dataset has no rows"
+
+
 def test_from_csv_names_a_short_row():
     assert Dataset.from_csv("A,B\n0,1\n").rows == (("0", "1"),)
     with pytest.raises(ModelError,
@@ -413,6 +424,13 @@ def test_graft_coin_makes_do_equal_see():
             got = rm.do_marginal({x: xv}, (y,))
             for yv in rm.domains[y]:
                 assert got.p({y: yv}) == want.p({y: yv})
+
+
+def test_graft_coin_leaves_names_to_the_graph(confounder_model):
+    with pytest.raises(GraphError, match="unknown variable 'Q'"):
+        graft_coin(confounder_model, "Q")
+    with pytest.raises(GraphError, match="duplicate variable 'Z'"):
+        graft_coin(confounder_model, "X", coin="Z")
 
 
 # -- exactness and guards ---------------------------------------------------------
@@ -447,10 +465,13 @@ def test_mechanism_validation():
 
 
 @pytest.mark.parametrize("keys, message", [
-    ((0, 2), r"mechanism for 'B' has no row for parent assignment \(1,\)$"),
+    ((0,), r"mechanism for 'B' has no row for parent assignment \(1,\)$"),
     ((0, 1, 2), r"mechanism for 'B' has a row for \(2,\), which is no "
                 r"assignment of its parents \('A',\)$"),
-], ids=["missing", "surplus"])
+    # a row for no assignment is refused before a missing row
+    ((0, 2), r"mechanism for 'B' has a row for \(2,\), which is no "
+             r"assignment of its parents \('A',\)$"),
+], ids=["missing", "surplus", "surplus-and-missing"])
 def test_rows_must_be_keyed_by_the_parent_assignments(keys, message):
     # refused when the model is built, not when its joint is first asked for
     g = CausalGraph(["A", "B"], [("A", "B")])
@@ -463,7 +484,7 @@ def test_rows_must_be_keyed_by_the_parent_assignments(keys, message):
 
 def test_from_tables_refuses_a_float_row():
     g = CausalGraph(["A"])
-    with pytest.raises(ModelError, match="does not sum to exactly 1"):
+    with pytest.raises(ModelError, match=r"row \(\) for 'A' sums to "):
         DiscreteModel.from_tables(g, {"A": (0, 1)}, {"A": {(): (0.1, 0.9)}})
 
 
@@ -481,9 +502,9 @@ def test_from_tables_checks_each_row_once(monkeypatch):
     calls = []
     check_row = scm._check_row
 
-    def counting_check_row(probs, where):
-        calls.append(where)
-        return check_row(probs, where)
+    def counting_check_row(name, pa, probs, size):
+        calls.append((name, pa))
+        return check_row(name, pa, probs, size)
 
     monkeypatch.setattr(scm, "_check_row", counting_check_row)
     g = CausalGraph(["A", "B"], [("A", "B")])
@@ -491,15 +512,97 @@ def test_from_tables_checks_each_row_once(monkeypatch):
         g, {"A": (0, 1), "B": (0, 1)},
         {"A": {(): (F(1, 2), F(1, 2))},
          "B": {0: (F(1, 3), F(2, 3)), 1: (F(1), F(0))}})
-    assert calls == ["mechanism for 'A', row ()",
-                     "mechanism for 'B', row (0,)",
-                     "mechanism for 'B', row (1,)"]
+    assert calls == [("A", ()), ("B", (0,)), ("B", (1,))]
 
 
 def test_missing_domain_is_model_error():
     g = CausalGraph(["A", "B"], [("A", "B")])
     with pytest.raises(ModelError, match="no domain"):
         DiscreteModel(g, {"A": (0, 1)}, {})
+
+
+_HALF = (F(1, 2), F(1, 2))
+_AB_DOMAINS = {"A": (0, 1), "B": (0, 1)}
+_AB_TABLES = {"A": {(): _HALF}, "B": {(0,): _HALF, (1,): _HALF}}
+
+
+def _ab_model(domains=(), tables=(), mechanisms=()):
+    """The model A -> B with entries of its domains and tables replaced
+    (None drops one) and extra mechanisms given as they are."""
+    g = CausalGraph(["A", "B"], [("A", "B")])
+    doms = {n: d for n, d in {**_AB_DOMAINS, **dict(domains)}.items()
+            if d is not None}
+    mechs = {n: Mechanism(n, g.ordered(g.parents(n)), t)
+             for n, t in {**_AB_TABLES, **dict(tables)}.items()
+             if t is not None}
+    return DiscreteModel(g, doms, {**mechs, **dict(mechanisms)})
+
+
+@pytest.mark.parametrize("parts, at, message", [
+    ({"domains": {"Q": (0, 1)}}, ("domain", "Q"), "unknown variable 'Q'"),
+    ({"mechanisms": {"Q": Mechanism("Q", (), {(): _HALF})}},
+     ("mechanism", "Q"), "unknown variable 'Q'"),
+    ({"domains": {"B": None}}, ("var", "B"), "no domain declared for 'B'"),
+    ({"domains": {"A": (0,)}}, ("domain", "A"),
+     "domain of 'A' needs at least 2 values"),
+    ({"domains": {"A": (0, 0)}}, ("domain", "A"),
+     "repeated value in domain of 'A'"),
+    ({"tables": {"B": None}}, ("var", "B"), "no mechanism declared for 'B'"),
+    ({"mechanisms": {"B": Mechanism("B", (), {(): _HALF})}}, ("var", "B"),
+     "mechanism parents [] for 'B' do not match graph parents ['A']"),
+    ({"tables": {"B": {(0,): _HALF, (1,): _HALF, (2,): _HALF}}},
+     ("row", "B", (2,)), "mechanism for 'B' has a row for (2,), which is "
+     "no assignment of its parents ('A',)"),
+    ({"tables": {"B": {(0,): _HALF}}}, ("var", "B"),
+     "mechanism for 'B' has no row for parent assignment (1,)"),
+    ({"tables": {"B": {(0,): _HALF, (1,): (1,)}}}, ("row", "B", (1,)),
+     "row (1,) for 'B' has 1 probabilities, domain has 2 values"),
+    ({"tables": {"A": {(): (F(1, 2), F(1, 3))}}}, ("row", "A", ()),
+     "row () for 'A' sums to 5/6, not 1"),
+    ({"tables": {"A": {(): (F(3, 2), F(-1, 2))}}}, ("row", "A", ()),
+     "negative probability in row () for 'A'"),
+], ids=["unknown-domain", "unknown-mechanism", "missing-domain",
+        "short-domain", "repeated-value", "missing-mechanism",
+        "other-parents", "surplus-row", "missing-row", "row-length",
+        "row-sum", "row-sign"])
+def test_constructor_refusals_name_their_input(parts, at, message):
+    with pytest.raises(ModelError) as info:
+        _ab_model(**parts)
+    assert str(info.value) == message
+    assert info.value.at == at
+
+
+def test_from_tables_leaves_unknown_names_to_the_constructor():
+    g = CausalGraph(["A", "B"], [("A", "B")])
+    with pytest.raises(ModelError) as info:
+        DiscreteModel.from_tables(g, _AB_DOMAINS,
+                                  {**_AB_TABLES, "Q": {(): _HALF}})
+    assert info.value.at == ("mechanism", "Q")
+
+
+@pytest.mark.parametrize("parts, at", [
+    # an unknown name first, the domain before the mechanism
+    ({"domains": {"A": (0,), "Q": (0, 1)},
+      "mechanisms": {"R": Mechanism("R", (), {(): _HALF})}}, ("domain", "Q")),
+    ({"domains": {"B": (0,)},
+      "mechanisms": {"R": Mechanism("R", (), {(): _HALF})}},
+     ("mechanism", "R")),
+    # then every domain, in declaration order, before any mechanism
+    ({"domains": {"A": (0, 0), "B": (0,)}}, ("domain", "A")),
+    ({"domains": {"B": (0,)}, "tables": {"A": {(): (1,)}}}, ("domain", "B")),
+    # then the mechanisms in declaration order
+    ({"tables": {"A": {(): (1,)}, "B": None}}, ("row", "A", ())),
+    # a row for no assignment before a missing row, then the rows in
+    # parent-assignment order
+    ({"tables": {"B": {(0,): (1,), (2,): _HALF}}}, ("row", "B", (2,))),
+    ({"tables": {"B": {(1,): (1,), (0,): (2, -1)}}}, ("row", "B", (0,))),
+], ids=["unknown-domain-first", "unknown-mechanism-next", "domains-in-order",
+        "domains-before-mechanisms", "mechanisms-in-order",
+        "surplus-before-missing", "rows-in-assignment-order"])
+def test_constructor_checks_in_one_order(parts, at):
+    with pytest.raises(ModelError) as info:
+        _ab_model(**parts)
+    assert info.value.at == at
 
 
 # -- shared-prefix products and summed lookups ---------------------------------

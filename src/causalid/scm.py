@@ -10,14 +10,18 @@ every identification formula is verified against.
 ``joint`` and ``truncated`` share one depth-first product: cells that
 agree on a prefix of the topological order share its product, computed
 once, and a zero entry drops the prefix with all its extensions.
-``JointDistribution.p`` and ``marginal`` sum a table onto each queried
-set of variables once and answer later queries on that set by lookup,
-so a table's ``probs`` is read-only after construction;
-``conditional``, ``dependence_gap`` and ``independent`` read the same
-summed tables.
 
-Probabilities are ``fractions.Fraction``, so correctness checks are
-exact equalities: every conditional row must sum to exactly 1.
+Mechanism rows hold ``fractions.Fraction`` entries, so correctness
+checks are exact equalities: every conditional row must sum to exactly
+1.  A ``JointDistribution`` holds one denominator per table and an
+integer weight per nonzero cell, so its sums, marginals, conditionals
+and comparisons add and multiply Python ints; an answer leaves the
+table as a reduced ``Fraction``, the same value a table of fractions
+would give.  ``JointDistribution.p`` and ``marginal`` sum the weights
+onto each queried set of variables once and answer later queries on
+that set by lookup, so a table is read-only after construction;
+``conditional``, ``dependence_gap`` and ``independent`` read the same
+summed weights.
 
 The ``DiscreteModel`` constructor alone decides whether a model is
 valid, checking names, then domains, then mechanisms, and names the
@@ -30,10 +34,11 @@ from __future__ import annotations
 import csv
 import io
 import random
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Sequence
 
 from .graph import CausalGraph, GraphError, ScaleError, Variable, _Record
 
@@ -149,27 +154,83 @@ def _projector(pos: Sequence[int]) -> Callable[[Sequence], tuple]:
     return lambda cell: ()
 
 
+class _CellProbabilities(Mapping):
+    """Read-only view of a table's nonzero cells as reduced fractions,
+    each built when read, so ``len`` builds none."""
+
+    __slots__ = ("_weights", "_denominator")
+
+    def __init__(self, weights: dict[tuple, int], denominator: int):
+        self._weights = weights
+        self._denominator = denominator
+
+    def __getitem__(self, cell: tuple) -> Fraction:
+        return Fraction(self._weights[cell], self._denominator)
+
+    def __iter__(self):
+        return iter(self._weights)
+
+    def __len__(self) -> int:
+        return len(self._weights)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
 class JointDistribution:
     """Exact table over full assignments of a fixed variable order.
 
-    Cells with zero probability may be omitted from ``probs``.  ``probs``
-    is read-only after construction: ``p`` keeps the sums it computes
-    from it.
+    The table is integer ``weights`` over one common ``denominator``:
+    cell -> weight, only nonzero cells kept, so a cell's probability is
+    ``weights[cell] / denominator``.  Sums, marginals, conditionals and
+    comparisons run on the ints; an answer becomes a reduced
+    ``Fraction`` only as it leaves the table.  ``probs`` shows the same
+    cells as ``Fraction``s.  The table is read-only after construction:
+    ``p`` keeps the sums it computes from it.
     """
 
     def __init__(self, variables: Sequence[str],
                  domains: Sequence[Sequence],
                  probs: Mapping[tuple, object], *, _validate: bool = True):
+        # each entry read exactly, as a row is; the denominator is the
+        # lcm of the entries' denominators
+        entries = []
+        for cell, v in probs.items():
+            if not isinstance(v, (int, Fraction)):
+                v = Fraction(v)
+            n = v.numerator
+            if n:
+                if n < 0:
+                    raise ModelError(
+                        f"negative probability at cell {cell!r} of the "
+                        "joint table")
+                entries.append((cell, n, v.denominator))
+        den = lcm(*{d for _, _, d in entries})
+        weights = {cell: n * (den // d) for cell, n, d in entries}
+        if _validate:
+            total = sum(weights.values())
+            if total != den:
+                raise ModelError(f"joint table sums to "
+                                 f"{Fraction(total, den)}, not 1")
+        self._build(variables, domains, weights, den)
+
+    def _build(self, variables: Iterable[str], domains: Iterable[Sequence],
+               weights: dict[tuple, int],
+               denominator: int) -> JointDistribution:
+        """Set every attribute from positive integer weights."""
         self.variables = tuple(variables)
         self.domains = tuple(tuple(d) for d in domains)
-        self.probs = {k: v for k, v in probs.items() if v}
+        self.weights = weights
+        self.denominator = denominator
         self._index = {n: i for i, n in enumerate(self.variables)}
-        if _validate:
-            total = sum(self.probs.values())
-            if total != 1:
-                raise ModelError(f"joint table sums to {total}, not 1")
-        # sorted positions -> {their values: summed probability}
-        self._sums: dict[tuple[int, ...], dict[tuple, object]] = {}
+        # sorted positions -> {their values: summed weight}
+        self._sums: dict[tuple[int, ...], dict[tuple, int]] = {}
+        return self
+
+    @property
+    def probs(self) -> Mapping[tuple, Fraction]:
+        """The nonzero cells and their probabilities."""
+        return _CellProbabilities(self.weights, self.denominator)
 
     def _positions(self, names: Iterable[str]) -> list[int]:
         """Positions of ``names`` in the caller's order; an unknown name
@@ -184,42 +245,47 @@ class JointDistribution:
         """Positions of ``names`` in table order; unknown names raise."""
         return tuple(sorted(set(self._positions(names))))
 
-    def _summed(self, pos: tuple[int, ...]) -> dict[tuple, object]:
-        """``probs`` summed onto the sorted positions ``pos``: one pass on
-        the first call for a set, each key in ``probs`` order from
-        ``Fraction(0)`` as a scan would; later calls are lookups."""
+    def _summed(self, pos: tuple[int, ...]) -> dict[tuple, int]:
+        """``weights`` summed onto the sorted positions ``pos``: one pass
+        on the first call for a set, each key in ``weights`` order;
+        later calls are lookups."""
         sums = self._sums.get(pos)
         if sums is None:
             key = _projector(pos)
-            zero = Fraction(0)
             sums = {}
-            for cell, pr in self.probs.items():
+            for cell, w in self.weights.items():
                 k = key(cell)
-                sums[k] = sums.get(k, zero) + pr
+                sums[k] = sums.get(k, 0) + w
             self._sums[pos] = sums
         return sums
 
-    def p(self, assignment: Mapping[str, Value]):
-        """Probability of a (possibly partial) assignment."""
+    def _weight(self, assignment: Mapping[str, Value]) -> int:
+        """Summed weight of a (possibly partial) assignment."""
         pos = self._kept(assignment)
         return self._summed(pos).get(
-            tuple(assignment[self.variables[i]] for i in pos), Fraction(0))
+            tuple(assignment[self.variables[i]] for i in pos), 0)
+
+    def p(self, assignment: Mapping[str, Value]) -> Fraction:
+        """Probability of a (possibly partial) assignment."""
+        return Fraction(self._weight(assignment), self.denominator)
 
     def marginal(self, names: Iterable[str]) -> JointDistribution:
+        """The table summed onto ``names``, over the same denominator."""
         pos = self._kept(names)
-        return JointDistribution([self.variables[i] for i in pos],
-                                 [self.domains[i] for i in pos],
-                                 self._summed(pos), _validate=False)
+        return object.__new__(JointDistribution)._build(
+            [self.variables[i] for i in pos], [self.domains[i] for i in pos],
+            self._summed(pos), self.denominator)
 
     def conditional(self, names: Iterable[str],
                     given: Mapping[str, Value]) -> JointDistribution:
         """Exact renormalized distribution of ``names`` given a partial
-        assignment: the table summed onto ``names`` and ``given`` at the
-        given values, over ``p(given)``; a zero ``p(given)`` raises."""
+        assignment: the weights summed onto ``names`` and ``given`` at
+        the given values, over the summed weight of ``given``; a zero
+        ``p(given)`` raises."""
         gpos = self._positions(given)
         kpos = [i for i in self._kept(names)
                 if self.variables[i] not in given]
-        norm = self.p(given)
+        norm = self._weight(given)
         if norm == 0:
             ev = ",".join(f"{n}={v!r}" for n, v in given.items())
             raise PositivityError(f"conditioning event ({ev}) "
@@ -229,40 +295,46 @@ class JointDistribution:
         match = _projector([at[i] for i in gpos])
         key = _projector([at[i] for i in kpos])
         want = tuple(given.values())
-        out = {key(k): pr / norm for k, pr in self._summed(pos).items()
+        out = {key(k): w for k, w in self._summed(pos).items()
                if match(k) == want}
-        return JointDistribution([self.variables[i] for i in kpos],
-                                 [self.domains[i] for i in kpos], out,
-                                 _validate=False)
+        return object.__new__(JointDistribution)._build(
+            [self.variables[i] for i in kpos],
+            [self.domains[i] for i in kpos], out, norm)
 
-    def total(self):
-        return sum(self.probs.values())
+    def total(self) -> Fraction:
+        return Fraction(sum(self.weights.values()), self.denominator)
 
-    def total_variation(self, other: JointDistribution):
+    def total_variation(self, other: JointDistribution) -> Fraction:
         if self.variables != other.variables:
             raise GraphError(
                 f"total variation needs tables over the same variables, "
                 f"got ({','.join(self.variables)}) and "
                 f"({','.join(other.variables)})")
-        keys = set(self.probs) | set(other.probs)
-        diff = sum(abs(self.probs.get(k, 0) - other.probs.get(k, 0))
-                   for k in keys)
-        return diff / 2
+        a, b = self.weights, other.weights
+        da, db = self.denominator, other.denominator
+        diff = sum(abs(a.get(k, 0) * db - b.get(k, 0) * da)
+                   for k in a.keys() | b.keys())
+        return Fraction(diff, 2 * da * db)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, JointDistribution)
+        if not (isinstance(other, JointDistribution)
                 and self.variables == other.variables
-                and self.probs == other.probs)
+                and self.weights.keys() == other.weights.keys()):
+            return False
+        da, db = self.denominator, other.denominator
+        return all(w * db == other.weights[k] * da
+                   for k, w in self.weights.items())
 
     def __repr__(self) -> str:
         return (f"JointDistribution({','.join(self.variables)}; "
-                f"{len(self.probs)} nonzero cells)")
+                f"{len(self.weights)} nonzero cells)")
 
 
 def dependence_gap(j: JointDistribution, X: Iterable[str], Y: Iterable[str],
-                   Z: Iterable[str] = ()):
+                   Z: Iterable[str] = ()) -> Fraction:
     """Largest violation of p(x,y|z) = p(x|z) p(y|z) over assignments with
-    positive p(z), read by name as |p(x,y,z) p(z) - p(x,z) p(y,z)| / p(z)^2.
+    positive p(z), read by name on the summed weights w as
+    |w(x,y,z) w(z) - w(x,z) w(y,z)| / w(z)^2 (the denominator cancels).
     Zero iff X and Y are independent given Z."""
     xs, ys, zs = tuple(X), tuple(Y), tuple(Z)
     if set(xs) & set(ys) or set(xs) & set(zs) or set(ys) & set(zs):
@@ -273,19 +345,20 @@ def dependence_gap(j: JointDistribution, X: Iterable[str], Y: Iterable[str],
         return [dict(zip(names, vals)) for vals in product(*doms)]
 
     xcells, ycells = cells(xs), cells(ys)
+    w = j._weight
     worst = Fraction(0)
     for z in cells(zs):
-        pz = j.p(z)
-        if pz == 0:
+        wz = w(z)
+        if wz == 0:
             continue
         most = 0
         for x in xcells:
             xz = {**x, **z}
-            pxz = j.p(xz)
+            wxz = w(xz)
             for y in ycells:
-                most = max(most, abs(j.p({**xz, **y}) * pz
-                                     - pxz * j.p({**y, **z})))
-        worst = max(worst, most / (pz * pz))
+                most = max(most, abs(w({**xz, **y}) * wz
+                                     - wxz * w({**y, **z})))
+        worst = max(worst, Fraction(most, wz * wz))
     return worst
 
 
@@ -357,8 +430,9 @@ class DiscreteModel:
     def __init__(self, graph: CausalGraph,
                  domains: Mapping[str, Sequence],
                  mechanisms: Mapping[str, Mechanism]):
-        # names, then domains, then mechanisms in declaration order: a row
-        # for no parent assignment, then each row (missing, length, sum, sign)
+        # names, then domains, then mechanisms in declaration order: the
+        # child, the parents, a row for no parent assignment, then each
+        # row (missing, length, sum, sign)
         known = set(graph.names)
         for kind, given in (("domain", domains), ("mechanism", mechanisms)):
             for n in given:
@@ -381,6 +455,9 @@ class DiscreteModel:
             if m is None:
                 raise ModelError(f"no mechanism declared for {n!r}",
                                  ("var", n))
+            if m.child != n:
+                raise ModelError(f"mechanism for {m.child!r} is declared "
+                                 f"for {n!r}", ("mechanism", n))
             if set(m.parents) != graph.parents(n):
                 raise ModelError(
                     f"mechanism parents {sorted(m.parents)} for {n!r} do not "
@@ -559,7 +636,7 @@ class DiscreteModel:
 
 def fit(variables: Sequence[str], domains: Mapping[str, Sequence],
         data: Dataset) -> JointDistribution:
-    """Empirical joint: exact frequencies count/n over the given shape; no
+    """Empirical joint: the counts over n rows as weights over n; no
     rows, a missing column or a value outside its declared domain raises."""
     if not data.rows:
         raise ModelError("dataset has no rows")
@@ -576,9 +653,8 @@ def fit(variables: Sequence[str], domains: Mapping[str, Sequence],
                 raise ModelError(f"value {x!r} of {v!r} in dataset row "
                                  f"{r} is outside its domain {dom!r}")
         counts[key] = counts.get(key, 0) + 1
-    n = len(data.rows)
-    probs = {k: Fraction(c, n) for k, c in counts.items()}
-    return JointDistribution(variables, doms, probs)
+    return object.__new__(JointDistribution)._build(variables, doms, counts,
+                                                    len(data.rows))
 
 
 def graft_coin(model: DiscreteModel, treatment: str,

@@ -548,6 +548,9 @@ def _ab_model(domains=(), tables=(), mechanisms=()):
     ({"domains": {"A": (0, 0)}}, ("domain", "A"),
      "repeated value in domain of 'A'"),
     ({"tables": {"B": None}}, ("var", "B"), "no mechanism declared for 'B'"),
+    ({"mechanisms": {"A": Mechanism("B", ("A",), _AB_TABLES["B"]),
+                     "B": Mechanism("A", (), _AB_TABLES["A"])}},
+     ("mechanism", "A"), "mechanism for 'B' is declared for 'A'"),
     ({"mechanisms": {"B": Mechanism("B", (), {(): _HALF})}}, ("var", "B"),
      "mechanism parents [] for 'B' do not match graph parents ['A']"),
     ({"tables": {"B": {(0,): _HALF, (1,): _HALF, (2,): _HALF}}},
@@ -563,8 +566,8 @@ def _ab_model(domains=(), tables=(), mechanisms=()):
      "negative probability in row () for 'A'"),
 ], ids=["unknown-domain", "unknown-mechanism", "missing-domain",
         "short-domain", "repeated-value", "missing-mechanism",
-        "other-parents", "surplus-row", "missing-row", "row-length",
-        "row-sum", "row-sign"])
+        "other-child", "other-parents", "surplus-row", "missing-row",
+        "row-length", "row-sum", "row-sign"])
 def test_constructor_refusals_name_their_input(parts, at, message):
     with pytest.raises(ModelError) as info:
         _ab_model(**parts)
@@ -657,6 +660,21 @@ def test_joint_and_truncated_equal_per_cell_product(seed):
 
 
 @given(st.integers(0, 10 ** 6))
+def test_random_model_tables_equal_per_cell_product(seed):
+    # the oracle's tables: each cell, read as weight / denominator, is the
+    # product of the model's conditional entries
+    rng = random.Random(seed)
+    g = random_dag(rng, n=rng.randint(1, 6), p=0.45, latent=0.3)
+    m = random_model(g, rng, cards=(2, 3))
+    j = m.joint()
+    assert j.probs == _per_cell_product(m)
+    assert sum(j.weights.values()) == j.denominator
+    t = rng.choice(g.names)
+    v = rng.choice(m.domains[t])
+    assert m.truncated(t, v).probs == _per_cell_product(m, t, v)
+
+
+@given(st.integers(0, 10 ** 6))
 def test_p_equals_scan_over_cells(seed):
     rng = random.Random(seed)
     j = _model_with_zeros(rng).joint()
@@ -672,6 +690,13 @@ def test_p_equals_scan_over_cells(seed):
         assert j.p(a) == want
     with pytest.raises(GraphError, match="unknown variable"):
         j.p({"Nope": 0})
+
+
+def test_joint_table_refuses_a_negative_entry():
+    with pytest.raises(ModelError) as info:
+        JointDistribution(["A"], [(0, 1)], {(0,): F(3, 2), (1,): F(-1, 2)})
+    assert str(info.value) == ("negative probability at cell (1,) of the "
+                               "joint table")
 
 
 def test_p_absent_cell_is_exact_zero():
@@ -723,11 +748,11 @@ def test_shared_prefixes_and_one_scan_per_variable_set(monkeypatch):
     lookups.clear()
     assert z.joint().probs == {(0, 0): F(1, 2), (1, 0): F(1, 2)}
     assert lookups == ["A", "B"]
-    j.probs = _CountingDict(j.probs)
+    j.weights = _CountingDict(j.weights)
     for a in ({"Y": "1"}, {"Y": "0"}, {"X": "1", "Y": "0"},
               {"Y": "1", "X": "0"}, {"X": "0", "Y": "1"}, {}, {}):
         j.p(a)
-    assert j.probs.scans == 3
+    assert j.weights.scans == 3
 
 
 def test_marginal_reads_a_one_shot_iterator():
@@ -756,7 +781,8 @@ def test_total_variation_needs_same_variables():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_marginal_equals_brute_force_sum(seed):
-    # random sparse tables over 4 variables, exact and float entries
+    # random sparse tables over 4 variables, exact and float entries; a
+    # float is read exactly, as Fraction(float), so its sums are exact
     rng = random.Random(seed)
     names = ["A", "B", "C", "D"]
     doms = [tuple(range(rng.randint(2, 3))) for _ in names]
@@ -764,7 +790,7 @@ def test_marginal_equals_brute_force_sum(seed):
     weights = [rng.randint(1, 9) for _ in cells]
     exact = {c: F(w, sum(weights)) for c, w in zip(cells, weights)}
     floats = {c: float(p) for c, p in exact.items()}
-    for probs, kind in ((exact, F), (floats, float)):
+    for probs in (exact, floats):
         j = JointDistribution(names, doms, probs, _validate=False)
         for r in range(len(names) + 1):
             for keep in combinations(names, r):
@@ -772,20 +798,20 @@ def test_marginal_equals_brute_force_sum(seed):
                 want = {}
                 for cell, pr in probs.items():
                     k = tuple(cell[i] for i in pos)
-                    want[k] = want.get(k, 0) + pr
+                    want[k] = want.get(k, 0) + F(pr)
                 got = j.marginal(reversed(keep))
                 assert got.variables == keep
                 assert got.probs == want
-                assert all(isinstance(v, kind) for v in got.probs.values())
+                assert all(isinstance(v, F) for v in got.probs.values())
 
 
 def test_p_and_marginal_share_one_scan():
     j = parse_model((DEMO / "frontdoor.model").read_text()).joint()
-    j.probs = _CountingDict(j.probs)
+    j.weights = _CountingDict(j.weights)
     assert j.p({"Y": "1", "X": "0"}) == j.marginal(["X", "Y"]).p(
         {"X": "0", "Y": "1"})
     assert j.marginal(["Y", "X"]).probs == j.marginal(["X", "Y"]).probs
-    assert j.probs.scans == 1
+    assert j.weights.scans == 1
 
 
 @st.composite
@@ -811,6 +837,22 @@ def _brute_p(j: JointDistribution, a: dict):
 def _brute_cells(j: JointDistribution, names) -> list[dict]:
     doms = [j.domains[j.variables.index(n)] for n in names]
     return [dict(zip(names, vals)) for vals in product(*doms)]
+
+
+@given(sparse_tables())
+def test_probs_rebuild_the_table(table):
+    j, order = table
+    assert JointDistribution(j.variables, j.domains, j.probs) == j
+    nonzero = [c for c in product(*j.domains)
+               if j.p(dict(zip(j.variables, c)))]
+    assert len(j.probs) == len(nonzero)
+    assert sorted(j.probs) == sorted(nonzero)
+    # a marginal keeps its parent's denominator, a rebuilt table takes the
+    # lcm of its entries' denominators; both hold the same probabilities
+    m = j.marginal(order[:2])
+    assert JointDistribution(m.variables, m.domains, m.probs) == m
+    with pytest.raises(TypeError):
+        j.probs[nonzero[0]] = F(0)
 
 
 @given(sparse_tables(), st.data())
